@@ -10,7 +10,7 @@ runtime comparison against the implicit dual form (``bench``).
 
 from .bench import BenchReport, BenchRow, run_bench
 from .builder import (AnchorSet, ClipReport, EigenFactor, build_dmn,
-                      build_input_layer, concat_maps, eigen_projection,
+                      build_input_layer, eigen_projection,
                       reconstruction_errors)
 from .checks import finite_difference_gradients, gradient_check, train_with_guard
 from .data import (LabeledDataset, SyntheticSpec, generate_synthetic,
@@ -23,9 +23,8 @@ from .errors import (BuildError, ConfigError, DegenerateGramError, DmapnetError,
                      NumericRangeError, TrainingDivergedError, VersionError)
 from .kernels import GramMatrix, KernelSpec, eval_kernel, gram_matrix
 from .metrics import EvalReport, evaluate, f_measure
-from .model import (ClassifierHead, DmnModel, DmnUnit, ForwardTrace, classify,
-                    dmn_forward, forward_batch, input_kernel_rows, load_model,
-                    save_model, score_batch)
+from .model import (ClassifierHead, DmnModel, DmnUnit, classify, forward_batch,
+                    input_kernel_rows, load_model, save_model, score_batch)
 from .training import (GradientBundle, TrainConfig, TrainLogEntry, backprop,
                        cross_validate_C, format_history, grad_output, objective,
                        svm_solve, train)
@@ -36,13 +35,13 @@ __all__ = [
     "AnchorSet", "BenchReport", "BenchRow", "BuildError", "ClassifierHead",
     "ClipReport", "ConfigError", "DegenerateGramError", "DknArchitecture",
     "DmapnetError", "DmnModel", "DmnUnit", "EigenFactor", "EvalReport",
-    "FormatError", "ForwardTrace", "GenerationError", "GradientBundle",
+    "FormatError", "GenerationError", "GradientBundle",
     "GramMatrix", "InputError", "KernelSpec", "LabeledDataset", "LayerSpec",
     "NumericError", "NumericRangeError", "SyntheticSpec", "TrainConfig",
     "TrainLogEntry", "TrainingDivergedError", "VersionError", "backprop",
-    "build_dmn", "build_input_layer", "classify", "concat_maps",
+    "build_dmn", "build_input_layer", "classify",
     "cross_validate_C", "default_architecture", "default_input_kernels",
-    "dkn_classify", "dkn_forward_grams", "dkn_pair", "dmn_forward",
+    "dkn_classify", "dkn_forward_grams", "dkn_pair",
     "eigen_projection", "eval_kernel", "evaluate", "f_measure",
     "finite_difference_gradients", "format_history", "forward_batch",
     "generate_synthetic", "grad_output", "gradient_check", "gram_matrix",

@@ -40,7 +40,6 @@ class BenchReport:
     rows: list
     anchor_count: int
     num_classes: int
-    parallelism: int = 1
     notes: str = ("dmn timings include first-layer kernel evaluation against "
                   "the anchors")
     timer_resolution: float = field(
@@ -55,8 +54,7 @@ class BenchReport:
                 raise ConfigError("benchmark times must be positive")
 
     def to_tsv(self) -> str:
-        lines = [f"# anchors={self.anchor_count} classes={self.num_classes} "
-                 f"parallelism={self.parallelism}",
+        lines = [f"# anchors={self.anchor_count} classes={self.num_classes}",
                  f"# {self.notes}",
                  "framework\tsupport_size\tmean_s\tstd_s\tmedian_s\treps\tunreliable"]
         for r in self.rows:
@@ -71,7 +69,6 @@ class BenchReport:
         return {
             "anchor_count": self.anchor_count,
             "num_classes": self.num_classes,
-            "parallelism": self.parallelism,
             "notes": self.notes,
             "timer_resolution": self.timer_resolution,
             "rows": [
@@ -114,7 +111,7 @@ def _row(framework, size, times, resolution) -> BenchRow:
 
 def run_bench(arch: DknArchitecture, anchors: AnchorSet, sizes=(500, 1000, 2000, 5000),
               reps: int = 5, num_classes: int = 5, seed: int = 0,
-              clip_ratio: float = DEFAULT_CLIP_RATIO, n_jobs: int = 1) -> BenchReport:
+              clip_ratio: float = DEFAULT_CLIP_RATIO) -> BenchReport:
     """Time per-sample classification for both frameworks at several support sizes.
 
     Query and support samples are drawn uniformly inside the anchor bounding
@@ -136,7 +133,7 @@ def run_bench(arch: DknArchitecture, anchors: AnchorSet, sizes=(500, 1000, 2000,
     def draw(count):
         return low + span * rng.random((count, d))
 
-    model = build_dmn(arch, anchors, clip_ratio=clip_ratio, n_jobs=n_jobs)
+    model = build_dmn(arch, anchors, clip_ratio=clip_ratio)
     head = ClassifierHead.random(num_classes, model.final_width,
                                  trade_off=1.0, seed=seed)
     resolution = time.get_clock_info("perf_counter").resolution
@@ -162,4 +159,4 @@ def run_bench(arch: DknArchitecture, anchors: AnchorSet, sizes=(500, 1000, 2000,
             times.append(time.perf_counter() - t0)
         rows.append(_row("dmn", size, times, resolution))
     return BenchReport(rows=rows, anchor_count=anchors.count,
-                       num_classes=num_classes, parallelism=max(1, int(n_jobs)))
+                       num_classes=num_classes)

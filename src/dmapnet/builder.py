@@ -18,7 +18,7 @@ from .dkn import DknArchitecture, EXP, IDENTITY, activation_apply, dkn_forward_g
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
 from .kernels import GramMatrix, gram_matrix
-from .model import DmnModel, DmnUnit, forward_batch
+from .model import DmnModel, DmnUnit, concat_with_weights, forward_batch
 
 # exp overflows float64 a little above this argument
 EXP_ARG_LIMIT = 700.0
@@ -128,31 +128,8 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
                        clip_report=report)
 
 
-def concat_maps(lower_maps, weights_row) -> np.ndarray:
-    """Stack lower-unit maps side by side, each scaled by sqrt(weight).
-
-    Inner products of the stacked rows equal the weighted sum of the lower
-    units' inner products.  Zero weights keep their (zeroed) block so the
-    concatenated width is stable.
-    """
-    weights_row = np.asarray(weights_row, dtype=np.float64)
-    if weights_row.ndim != 1 or len(lower_maps) != weights_row.shape[0]:
-        raise ConfigError(
-            f"{weights_row.shape} weights for {len(lower_maps)} lower maps"
-        )
-    if weights_row.size and np.min(weights_row) < 0:
-        raise ConfigError("mixing weights must be nonnegative")
-    rows = {np.asarray(m).shape[0] for m in lower_maps}
-    if len(rows) > 1:
-        raise InputError("lower maps must agree on the number of rows")
-    parts = [np.sqrt(w) * np.asarray(m, dtype=np.float64)
-             for w, m in zip(weights_row, lower_maps)]
-    return np.hstack(parts)
-
-
 def build_input_layer(specs, anchors: AnchorSet,
-                      clip_ratio: float = DEFAULT_CLIP_RATIO,
-                      n_jobs: int = 1) -> list:
+                      clip_ratio: float = DEFAULT_CLIP_RATIO) -> list:
     """Explicit maps for each base kernel over the anchor set.
 
     Each unit stores the projection from the eigendecomposition of its gram
@@ -161,7 +138,7 @@ def build_input_layer(specs, anchors: AnchorSet,
     """
     units = []
     for q, spec in enumerate(specs):
-        K = gram_matrix(spec, anchors.samples, n_jobs=n_jobs).values
+        K = gram_matrix(spec, anchors.samples).values
         K = (K + K.T) / 2.0
         try:
             factor = eigen_projection(K, clip_ratio)
@@ -174,8 +151,7 @@ def build_input_layer(specs, anchors: AnchorSet,
 
 
 def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
-              clip_ratio: float = DEFAULT_CLIP_RATIO, n_jobs: int = 1,
-              log=None) -> DmnModel:
+              clip_ratio: float = DEFAULT_CLIP_RATIO, log=None) -> DmnModel:
     """Construct the full explicit-map model for a network architecture.
 
     ``log`` is an optional callable receiving one text line per unit with
@@ -189,8 +165,7 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
                 f"discarded {report.discarded} "
                 f"(max |eig| {report.discarded_max_abs:.3e})")
 
-    input_units = build_input_layer(arch.input_kernels, anchors, clip_ratio,
-                                    n_jobs=n_jobs)
+    input_units = build_input_layer(arch.input_kernels, anchors, clip_ratio)
     for q, unit in enumerate(input_units):
         emit(1, q + 1, unit.clip_report)
     unit_layers = [input_units]
@@ -200,7 +175,7 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
         units = []
         outputs = []
         for p in range(layer_spec.width):
-            A = concat_maps(lower_outputs, layer_spec.weights[p])
+            A = concat_with_weights(lower_outputs, layer_spec.weights[p])
             pre = A @ A.T
             pre = (pre + pre.T) / 2.0
             if layer_spec.activation == EXP and np.max(np.abs(pre)) > EXP_ARG_LIMIT:
@@ -226,7 +201,7 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
                     anchor_ids=anchors.ids)
 
 
-def reconstruction_errors(model: DmnModel, n_jobs: int = 1) -> list:
+def reconstruction_errors(model: DmnModel) -> list:
     """Relative spectral error between each unit's map gram and its network
     kernel gram, both over the model's anchor samples.
 
@@ -236,7 +211,7 @@ def reconstruction_errors(model: DmnModel, n_jobs: int = 1) -> list:
     S = model.anchor_samples
     ids = model.anchor_ids
     input_grams = [
-        gram_matrix(unit.kernel, S, n_jobs=n_jobs, row_ids=ids, col_ids=ids)
+        gram_matrix(unit.kernel, S, row_ids=ids, col_ids=ids)
         for unit in model.layers[0]
     ]
     reference = dkn_forward_grams(model.arch, input_grams)

@@ -1,19 +1,21 @@
 """Verification utilities: numeric gradient comparison and a learning-rate
 guard for the training loop.
 
-These back the ``gradcheck`` command and the test harness; nothing here is
-needed for ordinary construction, training or inference.
+The gradient comparison backs the ``gradcheck`` command and the test
+harness.  The guard, ``train_with_guard``, is the training policy the
+``train`` command runs.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset
 from .errors import TrainingDivergedError
-from .model import ClassifierHead, DmnModel, copy_model, forward_batch
+from .model import ClassifierHead, DmnModel, forward_batch
 from .training import (GradientBundle, TrainConfig, _objective_terms, backprop,
                        as_per_class_c, grad_output, train)
 
@@ -42,7 +44,7 @@ def finite_difference_gradients(model: DmnModel, head: ClassifierHead,
     Weight coordinates within ``W_BOUNDARY`` of zero come back as NaN so
     callers can skip them.
     """
-    work = copy_model(model)
+    work = copy.deepcopy(model)
     C = as_per_class_c(head.trade_offs, data.num_classes)
 
     def central(arr, idx):

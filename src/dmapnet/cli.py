@@ -18,7 +18,7 @@ import numpy as np
 
 from .bench import run_bench
 from .builder import AnchorSet, build_dmn, reconstruction_errors
-from .checks import gradient_check
+from .checks import gradient_check, train_with_guard
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .dkn import (DknArchitecture, default_architecture, default_input_kernels,
                   load_architecture)
@@ -27,7 +27,7 @@ from .fileio import atomic_write_text
 from .kernels import KernelSpec
 from .metrics import evaluate
 from .model import ClassifierHead, load_model, save_model, score_batch
-from .training import TrainConfig, cross_validate_C, format_history, train
+from .training import TrainConfig, cross_validate_C, format_history
 
 
 class _UsageError(Exception):
@@ -67,14 +67,14 @@ _TABLES = {
         "degree": (int, 2, "polynomial degree of the default kernels"),
         "offset": (float, 1.0, "polynomial offset of the default kernels"),
         "seed": (int, 0, "seed for randomized mixing weights"),
-        "threads": (int, 1, "worker cap for gram computation"),
     },
     "train": {
         "model": (str, _REQUIRED, "model file to start from"),
         "data": (str, _REQUIRED, "training dataset"),
         "out": (str, _REQUIRED, "trained model file to write"),
         "log": (str, None, "objective log file (tab-separated)"),
-        "eta": (float, 1e-6, "learning rate"),
+        "eta": (float, 1e-6, "first learning rate; halved until the "
+                             "objective log is non-increasing"),
         "max-iters": (int, 500, "iteration cap"),
         "tol": (float, 1e-6, "relative objective change treated as converged"),
         "c": (float, None, "single trade-off for every class (skips CV)"),
@@ -102,7 +102,6 @@ _TABLES = {
         "classes": (int, 5, "classifier width"),
         "seed": (int, 0, "seed for all drawn samples"),
         "clip-ratio": (float, 1e-10, "relative eigenvalue clip threshold"),
-        "threads": (int, 1, "worker cap for gram computation"),
     },
     "prop1-check": {
         "anchors": (int, 100, "anchor count"),
@@ -112,7 +111,6 @@ _TABLES = {
         "seed": (int, 0, "seed for anchors and mixing weights"),
         "clip-ratio": (float, 1e-10, "relative eigenvalue clip threshold"),
         "tol": (float, 1e-6, "largest acceptable per-unit relative error"),
-        "threads": (int, 1, "worker cap for gram computation"),
     },
 }
 
@@ -175,6 +173,13 @@ def _parse_float_list(text: str, what: str) -> list:
     return values
 
 
+def _parse_int_list(text: str, what: str) -> list:
+    values = _parse_float_list(text, what)
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"{what} list {text!r} must hold integers")
+    return [int(v) for v in values]
+
+
 def _cmd_gen_data(opts) -> int:
     spec = SyntheticSpec(num_samples=opts["n"], num_features=opts["d"],
                          num_classes=opts["k"], clusters=opts["clusters"],
@@ -186,7 +191,7 @@ def _cmd_gen_data(opts) -> int:
     return 0
 
 
-def _default_arch_for(dim_kernels, opts) -> DknArchitecture:
+def _default_arch_for(opts) -> DknArchitecture:
     kernels = default_input_kernels(gamma=opts["gamma"], degree=opts["degree"],
                                     offset=opts["offset"])
     return default_architecture(kernels, hidden_width=opts["hidden_width"],
@@ -206,9 +211,8 @@ def _cmd_build_dmn(opts) -> int:
     if opts["arch"] is not None:
         arch = load_architecture(opts["arch"], seed=opts["seed"])
     else:
-        arch = _default_arch_for(None, opts)
-    model = build_dmn(arch, anchors, clip_ratio=opts["clip_ratio"],
-                      n_jobs=opts["threads"], log=_log)
+        arch = _default_arch_for(opts)
+    model = build_dmn(arch, anchors, clip_ratio=opts["clip_ratio"], log=_log)
     save_model(model, None, opts["out"])
     _log(f"wrote model ({model.anchor_count} anchors, "
          f"{model.arch.num_layers} layers) to {opts['out']}")
@@ -235,7 +239,9 @@ def _cmd_train(opts) -> int:
     cfg = TrainConfig(learning_rate=opts["eta"], max_iters=opts["max_iters"],
                       c_policy=c_policy, convergence_tol=opts["tol"],
                       seed=opts["seed"])
-    trained, trained_head, history = train(model, head, data, cfg)
+    trained, trained_head, history, eta = train_with_guard(model, head, data,
+                                                           cfg)
+    _log(f"accepted learning rate {eta:g}")
     save_model(trained, trained_head, opts["out"])
     if opts["log"]:
         atomic_write_text(opts["log"], format_history(history))
@@ -310,14 +316,14 @@ def _cmd_gradcheck(opts) -> int:
 
 
 def _cmd_bench(opts) -> int:
-    sizes = [int(s) for s in _parse_float_list(opts["sizes"], "sizes")]
+    sizes = _parse_int_list(opts["sizes"], "sizes")
     rng = np.random.default_rng(opts["seed"])
     anchors = AnchorSet(samples=rng.random((opts["anchors"], opts["d"])))
     kernels = default_input_kernels()
     arch = default_architecture(kernels, seed=opts["seed"])
     report = run_bench(arch, anchors, sizes=sizes, reps=opts["reps"],
                        num_classes=opts["classes"], seed=opts["seed"],
-                       clip_ratio=opts["clip_ratio"], n_jobs=opts["threads"])
+                       clip_ratio=opts["clip_ratio"])
     atomic_write_text(opts["out"] + ".tsv", report.to_tsv())
     atomic_write_text(opts["out"] + ".json", report.to_json())
     _log(report.to_tsv().rstrip("\n"))
@@ -333,9 +339,8 @@ def _cmd_prop1_check(opts) -> int:
         samples=rng.uniform(0.0, opts["scale"], (opts["anchors"], opts["d"])))
     kernels = default_input_kernels()
     arch = default_architecture(kernels, seed=opts["seed"])
-    model = build_dmn(arch, anchors, clip_ratio=opts["clip_ratio"],
-                      n_jobs=opts["threads"])
-    errors = reconstruction_errors(model, n_jobs=opts["threads"])
+    model = build_dmn(arch, anchors, clip_ratio=opts["clip_ratio"])
+    errors = reconstruction_errors(model)
     worst = 0.0
     for l, layer_errors in enumerate(errors):
         for p, err in enumerate(layer_errors):

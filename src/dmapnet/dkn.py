@@ -36,16 +36,15 @@ def activation_apply(name: str, values):
     raise ConfigError(f"unknown activation {name!r}")
 
 
-def activation_prime(name: str, pre):
-    """Derivative of the activation evaluated at pre-activation values."""
+def activation_prime(name: str, h):
+    """Derivative of the activation, written in terms of its output
+    ``h = activation_apply(name, pre)``."""
     if name == TANH:
-        t = np.tanh(pre)
-        return 1.0 - t * t
+        return 1.0 - h * h
     if name == EXP:
-        with np.errstate(over="ignore"):
-            return np.exp(pre)
+        return h
     if name == IDENTITY:
-        return np.ones_like(np.asarray(pre, dtype=np.float64))
+        return np.ones_like(np.asarray(h, dtype=np.float64))
     raise ConfigError(f"unknown activation {name!r}")
 
 

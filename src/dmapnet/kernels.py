@@ -8,7 +8,6 @@ arithmetic, entry for entry.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,13 +158,11 @@ def _gram_block(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def gram_matrix(spec: KernelSpec, X, Y=None, *, row_ids=None, col_ids=None,
-                n_jobs: int = 1) -> GramMatrix:
+def gram_matrix(spec: KernelSpec, X, Y=None, *, row_ids=None,
+                col_ids=None) -> GramMatrix:
     """Kernel values between every row of ``X`` and every row of ``Y``.
 
-    ``Y=None`` means ``Y = X``.  With ``n_jobs > 1`` row blocks are computed
-    on a thread pool; the block core is shape-independent, so parallel and
-    serial results coincide.
+    ``Y=None`` means ``Y = X``.
     """
     X = _as_samples(X, "X")
     Y = X if Y is None else _as_samples(Y, "Y")
@@ -176,21 +173,10 @@ def gram_matrix(spec: KernelSpec, X, Y=None, *, row_ids=None, col_ids=None,
     if spec.kind == HISTOGRAM_INTERSECTION:
         if np.min(X) < 0 or np.min(Y) < 0:
             raise InputError("histogram intersection requires nonnegative features")
-    n = X.shape[0]
-    if n_jobs is None:
-        n_jobs = 1
-    n_jobs = max(1, min(int(n_jobs), n))
-    if n_jobs == 1:
-        values = _gram_block(spec, X, Y)
-    else:
-        bounds = np.linspace(0, n, n_jobs + 1).astype(int)
-        blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(lambda ab: _gram_block(spec, X[ab[0]:ab[1]], Y), blocks))
-        values = np.vstack(parts)
+    values = _gram_block(spec, X, Y)
     if Y is X and col_ids is None:
         # both axes index the same samples; claim it so symmetry is checked
-        col_ids = row_ids = tuple(row_ids) if row_ids else tuple(range(n))
+        col_ids = row_ids = tuple(row_ids) if row_ids else tuple(range(X.shape[0]))
     return GramMatrix(values, row_ids or (), col_ids or ())
 
 

@@ -12,14 +12,13 @@ fixed anchor matrices.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dkn import ACTIVATIONS, DknArchitecture, IDENTITY, activation_apply
+from .dkn import ACTIVATIONS, DknArchitecture, activation_apply
 from .errors import ConfigError, FormatError, InputError, NumericRangeError, VersionError
 from .fileio import atomic_write_bytes
 from .kernels import KernelSpec, gram_matrix
@@ -143,10 +142,10 @@ class ClassifierHead:
 @dataclass
 class BatchTrace:
     """Forward intermediates for a batch: per layer, per unit, the
-    pre-activation inner-product matrix (samples x anchors) and the map
-    output (samples x unit width)."""
+    activated inner products against the anchors (samples x anchors; the
+    input layer's kernel rows) and the map output (samples x unit width)."""
 
-    pre: list
+    h: list
     out: list
 
     @property
@@ -156,43 +155,6 @@ class BatchTrace:
     @property
     def num_samples(self) -> int:
         return self.out[0][0].shape[0]
-
-
-@dataclass
-class ForwardTrace:
-    """Forward intermediates for one sample; vectors index anchors."""
-
-    pre: list
-    out: list
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.out[-1][0]
-
-    @classmethod
-    def from_batch_row(cls, batch: BatchTrace, i: int) -> "ForwardTrace":
-        pre = [[unit[i] for unit in layer] for layer in batch.pre]
-        out = [[unit[i] for unit in layer] for layer in batch.out]
-        return cls(pre=pre, out=out)
-
-
-def stack_traces(traces) -> BatchTrace:
-    """Stack per-sample traces back into batch matrices."""
-    if isinstance(traces, BatchTrace):
-        return traces
-    traces = list(traces)
-    if not traces:
-        raise InputError("at least one trace is required")
-    first = traces[0]
-    pre = [
-        [np.stack([t.pre[l][p] for t in traces]) for p in range(len(first.pre[l]))]
-        for l in range(len(first.pre))
-    ]
-    out = [
-        [np.stack([t.out[l][p] for t in traces]) for p in range(len(first.out[l]))]
-        for l in range(len(first.out))
-    ]
-    return BatchTrace(pre=pre, out=out)
 
 
 def _check_finite(arr: np.ndarray, layer: int, unit: int, what: str) -> None:
@@ -225,11 +187,11 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
 
     Returns ``(final_maps, trace)`` where ``final_maps`` is the output of
     the last layer's first unit and ``trace`` is a BatchTrace with every
-    pre-activation and map.
+    activated inner-product matrix and map.
     """
     if kernel_rows is None:
         kernel_rows = input_kernel_rows(model, X)
-    pre_layers = []
+    h_layers = []
     out_layers = []
     outs = []
     # overflow may pass through as inf/nan silently; the finite checks
@@ -240,13 +202,13 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
             phi = Z @ unit.projection
             _check_finite(phi, 1, q + 1, "map")
             outs.append(phi)
-        pre_layers.append(list(kernel_rows))
+        h_layers.append(list(kernel_rows))
         out_layers.append(outs)
         for li, layer_spec in enumerate(model.arch.layers):
             units = model.layers[li + 1]
             weights = layer_spec.weights
             new_outs = []
-            new_pres = []
+            new_hs = []
             for p, unit in enumerate(units):
                 cmat = concat_with_weights(outs, weights[p])
                 smat = cmat @ unit.anchors.T
@@ -254,40 +216,37 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
                 hmat = activation_apply(unit.activation, smat)
                 phi = hmat @ unit.projection
                 _check_finite(phi, li + 2, p + 1, "map")
-                new_pres.append(smat)
+                new_hs.append(hmat)
                 new_outs.append(phi)
-            pre_layers.append(new_pres)
+            h_layers.append(new_hs)
             out_layers.append(new_outs)
             outs = new_outs
-    trace = BatchTrace(pre=pre_layers, out=out_layers)
+    trace = BatchTrace(h=h_layers, out=out_layers)
     return trace.final, trace
 
 
 def concat_with_weights(lower_maps, weights_row) -> np.ndarray:
     """Concatenate lower maps scaled by the square roots of the weights.
 
-    Zero weights keep their block (as zeros) so widths never change."""
+    Inner products of the concatenated rows equal the weighted sum of the
+    lower maps' inner products.  Zero weights keep their block (as zeros) so
+    widths never change."""
     if len(lower_maps) != len(weights_row):
         raise ConfigError(
             f"{len(weights_row)} weights for {len(lower_maps)} lower maps"
         )
     if np.min(weights_row) < 0:
         raise ConfigError("mixing weights must be nonnegative")
+    if len({m.shape[0] for m in lower_maps}) > 1:
+        raise InputError("lower maps must agree on the number of rows")
     parts = [np.sqrt(w) * m for w, m in zip(weights_row, lower_maps)]
     return np.hstack(parts)
 
 
-def dmn_forward(model: DmnModel, x) -> tuple:
-    """Map one sample; returns ``(final_map_vector, ForwardTrace)``."""
-    final, batch = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    return final[0], ForwardTrace.from_batch_row(batch, 0)
+def score_batch(model: DmnModel, head: ClassifierHead, X, kernel_rows=None) -> np.ndarray:
+    """Scores for a batch of samples, one row per sample.
 
-
-def classify(model: DmnModel, head: ClassifierHead, x) -> tuple:
-    """Scores and hard labels for one sample.
-
-    Labels are +1 where the score is strictly positive, else -1.  The head
-    must match a final layer of width one unit.
+    The head must match a final layer of exactly one unit.
     """
     if len(model.layers[-1]) != 1:
         raise ConfigError(
@@ -298,22 +257,18 @@ def classify(model: DmnModel, head: ClassifierHead, x) -> tuple:
             f"head width {head.normals.shape[1]} does not match the final map "
             f"width {model.final_width}"
         )
-    phi, _ = dmn_forward(model, x)
-    scores = head.normals @ phi
-    labels = np.where(scores > 0, 1, -1).astype(np.int64)
-    return scores, labels
-
-
-def score_batch(model: DmnModel, head: ClassifierHead, X, kernel_rows=None) -> np.ndarray:
-    """Scores for a batch of samples, one row per sample."""
-    if head.normals.shape[1] != model.final_width:
-        raise ConfigError("head width does not match the final map width")
     final, _ = forward_batch(model, X, kernel_rows=kernel_rows)
     return final @ head.normals.T
 
 
-def copy_model(model: DmnModel) -> DmnModel:
-    return copy.deepcopy(model)
+def classify(model: DmnModel, head: ClassifierHead, x) -> tuple:
+    """Scores and hard labels for one sample.
+
+    Labels are +1 where the score is strictly positive, else -1.
+    """
+    scores = score_batch(model, head, np.asarray(x, dtype=np.float64)[None, :])[0]
+    labels = np.where(scores > 0, 1, -1).astype(np.int64)
+    return scores, labels
 
 
 # --- binary container --------------------------------------------------------
@@ -432,6 +387,8 @@ def load_model(path) -> tuple:
     pos = len(MODEL_MAGIC)
     version = int.from_bytes(body[pos:pos + 4], "little")
     pos += 4
+    if version < 1:
+        raise FormatError(f"model format version {version} does not exist")
     if version > MODEL_VERSION:
         raise VersionError(
             f"model format version {version} is newer than supported "

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .dkn import activation_apply, activation_prime
+from .dkn import activation_prime
 from .errors import ConfigError, InputError, NumericRangeError, TrainingDivergedError
 from .metrics import f_measure
-from .model import (ClassifierHead, DmnModel, copy_model, forward_batch,
-                    input_kernel_rows, stack_traces)
+from .model import (BatchTrace, ClassifierHead, DmnModel, concat_with_weights,
+                    forward_batch, input_kernel_rows)
 
 CONVERGENCE_WINDOW = 10
 
@@ -214,13 +214,12 @@ def grad_output(head: ClassifierHead, final_maps, labels, c_policy=None) -> np.n
     return -2.0 * ((C[None, :] * Y * margins) @ head.normals)
 
 
-def backprop(model: DmnModel, traces, output_grads) -> GradientBundle:
+def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> GradientBundle:
     """Gradients of the objective for every trainable parameter.
 
-    ``traces`` is the forward trace (batched or a list of single-sample
-    traces) of the same samples ``output_grads`` refers to.
+    ``batch`` is the forward trace of the same samples ``output_grads``
+    refers to.
     """
-    batch = stack_traces(traces)
     G = np.asarray(output_grads, dtype=np.float64)
     n = batch.num_samples
     if G.shape != (n, model.final_width):
@@ -244,14 +243,12 @@ def backprop(model: DmnModel, traces, output_grads) -> GradientBundle:
         offsets = np.concatenate(([0], np.cumsum(lower_widths)))
         for p, unit in enumerate(model.layers[l]):
             D = d_out[l][p]
-            pre = batch.pre[l][p]
-            h = activation_apply(unit.activation, pre)
+            h = batch.h[l][p]
             u_grads[l][p] = h.T @ D
             dh = D @ unit.projection.T
-            ds = activation_prime(unit.activation, pre) * dh
+            ds = activation_prime(unit.activation, h) * dh
             weights_row = layer_spec.weights[p]
-            cmat = np.hstack([np.sqrt(w) * o
-                              for w, o in zip(weights_row, lower_outs)])
+            cmat = concat_with_weights(lower_outs, weights_row)
             anchor_grads[l][p] = ds.T @ cmat
             dc = ds @ unit.anchors
             for q in range(len(lower_outs)):
@@ -267,7 +264,7 @@ def backprop(model: DmnModel, traces, output_grads) -> GradientBundle:
                     # at the clip boundary the subgradient is taken as zero
                     weight_grads[li][p, q] = 0.0
     for q, unit in enumerate(model.layers[0]):
-        Z = batch.pre[0][q]
+        Z = batch.h[0][q]
         u_grads[0][q] = Z.T @ d_out[0][q]
 
     for l in range(num_layers):
@@ -316,7 +313,7 @@ def train(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
     """
     if data.num_classes != head.num_classes:
         raise ConfigError("head classes must match the dataset classes")
-    model = copy_model(model)
+    model = copy.deepcopy(model)
     head = ClassifierHead(head.normals.copy(), head.trade_offs.copy())
     C = as_per_class_c(head.trade_offs if cfg.c_policy is None else cfg.c_policy,
                        data.num_classes)
@@ -334,8 +331,9 @@ def train(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
             final, trace = forward_batch(model, X, kernel_rows=kernel_rows)
             omega = svm_solve(final, Y, C, initial=omega)
             total, hinge, reg = _objective_terms(omega, final, Y, C)
-        except (NumericRangeError, np.linalg.LinAlgError) as err:
-            # a singular system here means the maps blew past float range
+        except (NumericRangeError, np.linalg.LinAlgError, OverflowError) as err:
+            # a singular system or an overflowing norm here means the maps
+            # blew past float range
             good_model, good_head = last_good if last_good else (None, None)
             raise TrainingDivergedError(
                 f"iteration {it}: {err}", model=good_model, head=good_head,
@@ -351,7 +349,7 @@ def train(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
         entry = TrainLogEntry(iteration=it, objective=total, hinge=hinge,
                               regularizer=reg, wall_ms=0.0)
         history.append(entry)
-        last_good = (copy_model(model), ClassifierHead(omega.copy(), C.copy()))
+        last_good = (copy.deepcopy(model), ClassifierHead(omega.copy(), C.copy()))
         if len(history) >= 2:
             prev = history[-2].objective
             if (cfg.halt_on_increase

@@ -47,7 +47,7 @@ def test_report_tsv_layout():
     report = _tiny_report()
     text = report.to_tsv()
     lines = text.strip().split("\n")
-    assert lines[0].startswith("# anchors=8 classes=2 parallelism=1")
+    assert lines[0].startswith("# anchors=8 classes=2")
     assert lines[2].split("\t")[0] == "framework"
     assert len(lines) == 3 + len(report.rows)
     first = lines[3].split("\t")

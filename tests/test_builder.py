@@ -8,8 +8,9 @@ import helpers
 from dmapnet import (AnchorSet, BuildError, ConfigError, DegenerateGramError,
                      DknArchitecture, InputError, KernelSpec, LayerSpec,
                      NumericRangeError, build_dmn, build_input_layer,
-                     concat_maps, default_architecture, default_input_kernels,
+                     default_architecture, default_input_kernels,
                      eigen_projection, gram_matrix, reconstruction_errors)
+from dmapnet.model import concat_with_weights
 
 
 def test_eigen_projection_hand_case():
@@ -72,9 +73,10 @@ def test_eigen_projection_descending_and_reconstructive():
 
 
 def test_concat_maps_weighting():
+    # the builder stacks lower-unit maps with concat_with_weights
     a = np.ones((3, 2))
     b = 2.0 * np.ones((3, 1))
-    out = concat_maps([a, b], np.array([4.0, 0.25]))
+    out = concat_with_weights([a, b], np.array([4.0, 0.25]))
     npt.assert_allclose(out[:, :2], 2.0 * np.ones((3, 2)))
     npt.assert_allclose(out[:, 2:], 1.0 * np.ones((3, 1)))
     # inner products of the concatenation equal the weighted sum of the
@@ -83,11 +85,11 @@ def test_concat_maps_weighting():
     rhs = 4.0 * (a @ a.T) + 0.25 * (b @ b.T)
     npt.assert_allclose(lhs, rhs, atol=1e-12)
     with pytest.raises(ConfigError):
-        concat_maps([a, b], np.array([1.0, -0.5]))
+        concat_with_weights([a, b], np.array([1.0, -0.5]))
     with pytest.raises(ConfigError):
-        concat_maps([a, b], np.array([1.0]))
+        concat_with_weights([a, b], np.array([1.0]))
     with pytest.raises(InputError):
-        concat_maps([a, np.ones((4, 1))], np.array([1.0, 1.0]))
+        concat_with_weights([a, np.ones((4, 1))], np.array([1.0, 1.0]))
 
 
 def test_anchor_set_validation():

@@ -88,6 +88,43 @@ def test_train_with_cross_validation(tmp_path, capsys):
     assert set(np.unique(head.trade_offs)) <= {0.5, 2.0}
 
 
+def _small_model(tmp_path):
+    data_path = tmp_path / "data.tsv"
+    model_path = tmp_path / "model.bin"
+    assert main(["gen-data", "--out", str(data_path), "--n", "40", "--d", "4",
+                 "--k", "2", "--noise", "0.05", "--seed", "3"]) == 0
+    assert main(["build-dmn", "--data", str(data_path), "--out",
+                 str(model_path), "--anchors", "14", "--seed", "3"]) == 0
+    return data_path, model_path
+
+
+def test_train_halves_an_unstable_eta(tmp_path, capsys):
+    # at 1e-3 the objective goes uphill on this problem; the guard halves
+    # the rate once and the written log is non-increasing
+    data_path, model_path = _small_model(tmp_path)
+    log_path = tmp_path / "log.tsv"
+    capsys.readouterr()
+    assert main(["train", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "trained.bin"), "--log",
+                 str(log_path), "--c", "1.0", "--max-iters", "10",
+                 "--eta", "1e-3"]) == 0
+    assert "accepted learning rate 0.0005" in capsys.readouterr().err
+    objectives = [float(line.split("\t")[1])
+                  for line in log_path.read_text().strip().split("\n")]
+    assert len(objectives) == 10
+    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+
+def test_train_overflowing_eta_is_halved(tmp_path, capsys):
+    # a rate large enough to overflow the class solve is a diverged attempt,
+    # not a traceback
+    data_path, model_path = _small_model(tmp_path)
+    assert main(["train", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "trained.bin"), "--c", "1.0",
+                 "--max-iters", "10", "--eta", "1"]) == 0
+    assert "accepted learning rate" in capsys.readouterr().err
+
+
 def test_eval_without_head_is_input_error(tmp_path, capsys):
     data_path = tmp_path / "data.tsv"
     model_path = tmp_path / "model.bin"
@@ -191,6 +228,14 @@ def test_bench_command_writes_reports(tmp_path, capsys):
     assert len(tsv.strip().split("\n")) == 3 + 4  # header + 2 sizes x 2 rows
     assert len(obj["rows"]) == 4
     capsys.readouterr()
+
+
+def test_bench_rejects_fractional_sizes(tmp_path, capsys):
+    prefix = tmp_path / "bench"
+    assert main(["bench", "--out", str(prefix), "--sizes", "4,1.5",
+                 "--anchors", "10", "--d", "3"]) == 1
+    assert "must hold integers" in capsys.readouterr().err
+    assert not (tmp_path / "bench.tsv").exists()
 
 
 def test_missing_dataset_file_is_exit_one(tmp_path, capsys):

@@ -19,8 +19,10 @@ def test_activations():
     npt.assert_allclose(activation_apply("tanh", v), np.tanh(v))
     npt.assert_allclose(activation_apply("exp", v), np.exp(v))
     npt.assert_allclose(activation_apply("identity", v), v)
-    npt.assert_allclose(activation_prime("tanh", v), 1.0 - np.tanh(v) ** 2)
-    npt.assert_allclose(activation_prime("exp", v), np.exp(v))
+    # derivatives take the activation's output, not its argument
+    npt.assert_allclose(activation_prime("tanh", np.tanh(v)),
+                        1.0 - np.tanh(v) ** 2)
+    npt.assert_allclose(activation_prime("exp", np.exp(v)), np.exp(v))
     npt.assert_allclose(activation_prime("identity", v), np.ones(3))
     with pytest.raises(ConfigError):
         activation_apply("relu", v)

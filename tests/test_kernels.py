@@ -62,15 +62,6 @@ def test_gram_matches_eval_kernel_bitwise():
                 assert G[i, j] == eval_kernel(spec, X[i], Y[j])
 
 
-def test_parallel_gram_matches_serial_bitwise():
-    rng = np.random.default_rng(5)
-    X = rng.uniform(0.0, 1.0, size=(23, 6))
-    for spec in ALL_SPECS:
-        serial = gram_matrix(spec, X, n_jobs=1).values
-        parallel = gram_matrix(spec, X, n_jobs=4).values
-        assert (serial == parallel).all()
-
-
 def test_self_gram_symmetric_and_psd():
     rng = np.random.default_rng(3)
     for trial in range(10):

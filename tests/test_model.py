@@ -5,12 +5,12 @@ import numpy.testing as npt
 import pytest
 
 import helpers
-from dmapnet import (ClassifierHead, ConfigError, FormatError, InputError,
-                     NumericRangeError, VersionError, classify, dmn_forward,
-                     forward_batch, input_kernel_rows, load_model, save_model,
+from dmapnet import (AnchorSet, ClassifierHead, ConfigError, FormatError,
+                     InputError, LayerSpec, NumericRangeError, VersionError,
+                     build_dmn, classify, forward_batch, input_kernel_rows,
+                     load_model, random_mixing_weights, save_model,
                      score_batch)
-from dmapnet.model import (MODEL_MAGIC, MODEL_VERSION, concat_with_weights,
-                           copy_model, stack_traces)
+from dmapnet.model import MODEL_MAGIC, MODEL_VERSION, concat_with_weights
 
 
 def test_forward_batch_shapes_and_trace():
@@ -28,39 +28,21 @@ def test_forward_batch_shapes_and_trace():
 
 
 def test_dmn_forward_matches_batch_row():
-    # matrix products round differently for different batch shapes, so the
-    # single-sample path agrees with the batch row to float precision, not
+    # matrix products round differently for different batch shapes, so a
+    # one-row batch agrees with the full batch's row to float precision, not
     # bitwise
     model = helpers.toy_model(seed=3)
     rng = np.random.default_rng(4)
     X = rng.uniform(0.0, 0.5, size=(4, 3))
     batch_final, batch_trace = forward_batch(model, X)
     for i in range(4):
-        phi, trace = dmn_forward(model, X[i])
-        npt.assert_allclose(phi, batch_final[i], rtol=1e-12, atol=1e-15)
+        phi, trace = forward_batch(model, X[i:i + 1])
+        npt.assert_allclose(phi[0], batch_final[i], rtol=1e-12, atol=1e-15)
         for l in range(len(model.layers)):
             for p in range(len(model.layers[l])):
-                npt.assert_allclose(trace.out[l][p],
+                npt.assert_allclose(trace.out[l][p][0],
                                     batch_trace.out[l][p][i],
                                     rtol=1e-12, atol=1e-15)
-
-
-def test_stack_traces_round_trip():
-    from dmapnet.model import ForwardTrace
-
-    model = helpers.toy_model(seed=5)
-    rng = np.random.default_rng(6)
-    X = rng.uniform(0.0, 0.5, size=(3, 3))
-    _, batch = forward_batch(model, X)
-    singles = [ForwardTrace.from_batch_row(batch, i) for i in range(3)]
-    rebuilt = stack_traces(singles)
-    for l in range(len(batch.out)):
-        for p in range(len(batch.out[l])):
-            assert (rebuilt.out[l][p] == batch.out[l][p]).all()
-            assert (rebuilt.pre[l][p] == batch.pre[l][p]).all()
-    assert stack_traces(batch) is batch
-    with pytest.raises(InputError):
-        stack_traces([])
 
 
 def test_kernel_row_cache_is_exact():
@@ -108,7 +90,7 @@ def test_classify_sign_convention():
     assert (labels == -1).all()  # zero score means absent
     head2 = ClassifierHead(np.vstack([np.ones((1, width)), -np.ones((1, width))]),
                            np.array([1.0, 1.0]))
-    phi, _ = dmn_forward(model, x)
+    phi = forward_batch(model, x[None, :])[0][0]
     scores2, labels2 = classify(model, head2, x)
     npt.assert_allclose(scores2, [phi.sum(), -phi.sum()], rtol=1e-12)
     assert (labels2 == np.where(scores2 > 0, 1, -1)).all()
@@ -122,6 +104,23 @@ def test_score_batch_matches_classify():
         npt.assert_allclose(scores[i], si, rtol=1e-12, atol=1e-15)
 
 
+def test_scoring_rejects_multi_unit_final_layer():
+    # a two-unit exp final layer: batch and single-sample scoring both refuse
+    # it rather than silently scoring its first unit
+    rng = np.random.default_rng(21)
+    arch = helpers.toy_arch(rng)
+    arch.layers[-1] = LayerSpec(width=2, activation="exp",
+                                weights=random_mixing_weights(2, 3, rng))
+    anchors = AnchorSet(samples=rng.uniform(0.0, 0.5, size=(6, 3)))
+    model = build_dmn(arch, anchors)
+    head = ClassifierHead.zeros(2, model.final_width)
+    X = rng.uniform(0.0, 0.5, size=(4, 3))
+    with pytest.raises(ConfigError, match="exactly one unit"):
+        score_batch(model, head, X)
+    with pytest.raises(ConfigError, match="exactly one unit"):
+        classify(model, head, X[0])
+
+
 def test_head_validation():
     with pytest.raises(ConfigError):
         ClassifierHead(np.ones((2, 3)), np.array([1.0, -1.0]))
@@ -132,17 +131,6 @@ def test_head_validation():
     head = ClassifierHead.random(2, 5, trade_off=2.0, seed=1)
     assert head.normals.shape == (2, 5)
     assert (head.trade_offs == 2.0).all()
-
-
-def test_copy_model_is_deep():
-    model = helpers.toy_model(seed=15)
-    clone = copy_model(model)
-    clone.layers[1][0].projection[0, 0] += 1.0
-    clone.arch.layers[0].weights[0, 0] += 1.0
-    assert model.layers[1][0].projection[0, 0] \
-        != clone.layers[1][0].projection[0, 0]
-    assert model.arch.layers[0].weights[0, 0] \
-        != clone.arch.layers[0].weights[0, 0]
 
 
 def test_save_load_round_trip_bitwise(tmp_path):
@@ -209,19 +197,30 @@ def test_load_rejects_corruption(tmp_path):
         load_model(tmp_path / "missing.bin")
 
 
-def test_load_rejects_newer_version(tmp_path):
+def _saved_with_version(tmp_path, seed, version):
+    """A valid model file whose header names ``version``, checksum fixed."""
     import hashlib
 
-    model = helpers.toy_model(seed=19)
+    model = helpers.toy_model(seed=seed)
     path = tmp_path / "model.bin"
     save_model(model, None, path)
-    raw = bytearray(path.read_bytes())
-    body = raw[:-32]
+    body = bytearray(path.read_bytes()[:-32])
     version_at = len(MODEL_MAGIC)
-    body[version_at:version_at + 4] = (MODEL_VERSION + 1).to_bytes(4, "little")
+    body[version_at:version_at + 4] = version.to_bytes(4, "little")
     blob = bytes(body)
     path.write_bytes(blob + hashlib.sha256(blob).digest())
+    return path
+
+
+def test_load_rejects_newer_version(tmp_path):
+    path = _saved_with_version(tmp_path, 19, MODEL_VERSION + 1)
     with pytest.raises(VersionError):
+        load_model(path)
+
+
+def test_load_rejects_version_zero(tmp_path):
+    path = _saved_with_version(tmp_path, 22, 0)
+    with pytest.raises(FormatError, match="version 0"):
         load_model(path)
 
 
