@@ -38,7 +38,8 @@ head = ClassifierHead.random(data.num_classes, model.final_width,
 cfg = TrainConfig(learning_rate=1e-6, max_iters=120, c_policy=C,
                   convergence_tol=1e-7, seed=4)
 trained, trained_head, history, eta = train_with_guard(model, head, data, cfg)
-print(f"\nguard settled on learning rate {eta:.3e}")
+halvings = round(np.log2(cfg.learning_rate / eta))
+print(f"\nfinal learning rate {eta:.3e} after {halvings} halvings")
 print(f"objective: {history[0].objective:.2f} (iteration 1) -> "
       f"{history[-1].objective:.2f} (iteration {history[-1].iteration})")
 increases = sum(1 for a, b in zip(history, history[1:])

@@ -12,7 +12,7 @@ from .bench import BenchReport, BenchRow, run_bench
 from .builder import (AnchorSet, ClipReport, EigenFactor, build_dmn,
                       build_input_layer, eigen_projection,
                       reconstruction_errors)
-from .checks import finite_difference_gradients, gradient_check, train_with_guard
+from .checks import finite_difference_gradients, gradient_check
 from .data import (LabeledDataset, SyntheticSpec, generate_synthetic,
                    load_dataset, save_dataset)
 from .dkn import (DknArchitecture, LayerSpec, default_architecture,
@@ -27,7 +27,7 @@ from .model import (ClassifierHead, DmnModel, DmnUnit, classify, forward_batch,
                     input_kernel_rows, load_model, save_model, score_batch)
 from .training import (GradientBundle, TrainConfig, TrainLogEntry, backprop,
                        cross_validate_C, format_history, grad_output, objective,
-                       svm_solve, train)
+                       svm_solve, train, train_with_guard)
 
 __version__ = "0.1.0"
 

@@ -1,9 +1,6 @@
-"""Verification utilities: numeric gradient comparison and a learning-rate
-guard for the training loop.
+"""Gradient checking: analytic gradients against central finite differences.
 
-The gradient comparison backs the ``gradcheck`` command and the test
-harness.  The guard, ``train_with_guard``, is the training policy the
-``train`` command runs.
+Backs the ``gradcheck`` command and the test harness.
 """
 
 from __future__ import annotations
@@ -14,10 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import TrainingDivergedError
 from .model import ClassifierHead, DmnModel, forward_batch
-from .training import (GradientBundle, TrainConfig, _objective_terms, backprop,
-                       as_per_class_c, grad_output, train)
+from .training import (GradientBundle, _objective_terms, backprop,
+                       as_per_class_c, grad_output)
 
 # Boundary band inside which weight coordinates are skipped: the projection
 # onto the nonnegative orthant makes one-sided derivatives there.
@@ -137,38 +133,3 @@ def gradient_check(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
         for idx in np.ndindex(wa.shape):
             compare(f"w[layer {li + 2}]{list(idx)}", wa[idx], wn[idx])
     return all(r.passed for r in rows), rows
-
-
-def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
-                     cfg: TrainConfig, max_halvings: int = 12) -> tuple:
-    """Run ``train``, halving the learning rate until the objective log is
-    non-increasing.  Returns ``(model, head, history, learning_rate_used)``.
-
-    Attempts run with ``halt_on_increase`` so an unstable rate is abandoned
-    at its first uphill step instead of burning the full iteration budget.
-    Raises ``TrainingDivergedError`` when no rate in the schedule yields a
-    non-increasing log.
-    """
-    eta = cfg.learning_rate
-    for _ in range(max_halvings + 1):
-        attempt = TrainConfig(learning_rate=eta, max_iters=cfg.max_iters,
-                              c_policy=cfg.c_policy,
-                              convergence_tol=cfg.convergence_tol,
-                              seed=cfg.seed, halt_on_increase=True)
-        try:
-            trained, trained_head, history = train(model, head, data, attempt)
-        except TrainingDivergedError:
-            eta /= 2.0
-            continue
-        objectives = [e.objective for e in history]
-        monotone = all(
-            b <= a + 1e-12 * max(1.0, abs(a))
-            for a, b in zip(objectives, objectives[1:])
-        )
-        if monotone:
-            return trained, trained_head, history, eta
-        eta /= 2.0
-    raise TrainingDivergedError(
-        "no learning rate in the halving schedule produced a "
-        "non-increasing objective log"
-    )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bench import run_bench
 from .builder import AnchorSet, build_dmn, reconstruction_errors
-from .checks import gradient_check, train_with_guard
+from .checks import gradient_check
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .dkn import (DknArchitecture, default_architecture, default_input_kernels,
                   load_architecture)
@@ -27,7 +27,8 @@ from .fileio import atomic_write_text
 from .kernels import KernelSpec
 from .metrics import evaluate
 from .model import ClassifierHead, load_model, save_model, score_batch
-from .training import TrainConfig, cross_validate_C, format_history
+from .training import (TrainConfig, cross_validate_C, format_history,
+                       train_with_guard)
 
 
 class _UsageError(Exception):
@@ -140,7 +141,7 @@ def _resolve(args, command: str) -> dict:
                 config = json.load(fh)
         except OSError as err:
             raise InputError(f"cannot read config: {err}") from err
-        except json.JSONDecodeError as err:
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
         if not isinstance(config, dict):
             raise ConfigError("config must hold a JSON object")

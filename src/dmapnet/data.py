@@ -154,8 +154,11 @@ def _parse_label(token: str, line_no: int) -> float:
 
 
 def load_dataset(path) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"dataset file is not UTF-8 text: {err}") from err
     if not lines:
         raise FormatError("dataset file is empty")
     head = lines[0].split("\t")

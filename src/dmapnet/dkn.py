@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .kernels import GramMatrix, KernelSpec, gram_matrix
+from .kernels import GramMatrix, KernelSpec, _is_whole, gram_matrix
 
 TANH = "tanh"
 EXP = "exp"
@@ -48,6 +48,12 @@ def activation_prime(name: str, h):
     raise ConfigError(f"unknown activation {name!r}")
 
 
+def _layer_width(value) -> int:
+    if not _is_whole(value) or value < 1:
+        raise ConfigError(f"layer width must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class LayerSpec:
     """One combination layer: width units mixing the layer below."""
@@ -57,12 +63,13 @@ class LayerSpec:
     weights: np.ndarray  # (width, prev_width), nonnegative
 
     def __post_init__(self):
-        if int(self.width) != self.width or self.width < 1:
-            raise ConfigError("layer width must be an integer >= 1")
-        self.width = int(self.width)
+        self.width = _layer_width(self.width)
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        try:
+            self.weights = np.asarray(self.weights, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"mixing weights must be numbers: {err}") from err
         if self.weights.ndim != 2 or self.weights.shape[0] != self.width:
             raise ConfigError(
                 f"weights must have shape ({self.width}, prev_width), "
@@ -143,16 +150,18 @@ class DknArchitecture:
             layer_objs = obj["layers"]
         except KeyError as err:
             raise ConfigError(f"architecture config missing key {err}") from err
+        if not isinstance(kernel_objs, list) or not isinstance(layer_objs, list):
+            raise ConfigError("'input_kernels' and 'layers' must be lists")
         kernels = [KernelSpec.from_dict(k) for k in kernel_objs]
         rng = np.random.default_rng(seed)
         layers = []
         prev = len(kernels)
         for raw in layer_objs:
-            if "width" not in raw or "activation" not in raw:
+            if not isinstance(raw, dict) or "width" not in raw or "activation" not in raw:
                 raise ConfigError("each layer needs 'width' and 'activation'")
-            width = raw["width"]
+            width = _layer_width(raw["width"])
             if "weights" in raw and raw["weights"] is not None:
-                weights = np.asarray(raw["weights"], dtype=np.float64)
+                weights = raw["weights"]
             else:
                 weights = random_mixing_weights(width, prev, rng)
             layers.append(LayerSpec(width=width, activation=raw["activation"],
@@ -197,7 +206,7 @@ def load_architecture(path, seed: int = 0) -> DknArchitecture:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ConfigError(f"invalid architecture JSON: {err}") from err
     return DknArchitecture.from_json_dict(obj, seed=seed)
 

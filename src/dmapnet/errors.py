@@ -49,10 +49,12 @@ class BuildError(NumericError):
 
 
 class TrainingDivergedError(NumericError):
-    """The training objective became non-finite.
+    """Training could not go on: the first evaluation failed, or a step was
+    still rejected after the last allowed halving of the learning rate.
 
-    Carries the last state whose objective was still finite so callers can
-    recover something useful from a partially completed run.
+    Carries the last accepted model, head and history so callers can recover
+    something useful from a partially completed run; the model and head are
+    None when no iteration was accepted.
     """
 
     def __init__(self, message, model=None, head=None, history=None):

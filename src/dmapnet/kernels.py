@@ -8,6 +8,7 @@ arithmetic, entry for entry.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,15 @@ KERNEL_KINDS = (LINEAR, POLYNOMIAL, RBF, HISTOGRAM_INTERSECTION)
 
 # Maximum allowed asymmetry for a gram over a single sample set.
 SYMMETRY_TOL = 1e-10
+
+
+def _is_whole(value) -> bool:
+    """True for an integer-valued number; False for anything else, strings
+    and non-finite floats included."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -46,12 +56,15 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
         if self.kind == POLYNOMIAL:
-            if int(self.degree) != self.degree or self.degree < 1:
-                raise ConfigError("polynomial degree must be an integer >= 1")
-            if not self.offset >= 0:
-                raise ConfigError("polynomial offset must be >= 0")
-        if self.kind == RBF and not self.gamma > 0:
-            raise ConfigError("rbf gamma must be > 0")
+            if not _is_whole(self.degree) or self.degree < 1:
+                raise ConfigError(
+                    f"polynomial degree must be an integer >= 1, got {self.degree!r}")
+            if not (isinstance(self.offset, numbers.Real) and self.offset >= 0):
+                raise ConfigError(
+                    f"polynomial offset must be a number >= 0, got {self.offset!r}")
+        if self.kind == RBF and not (isinstance(self.gamma, numbers.Real)
+                                     and self.gamma > 0):
+            raise ConfigError(f"rbf gamma must be a number > 0, got {self.gamma!r}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}

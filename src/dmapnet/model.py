@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,11 +291,24 @@ def _clip_report_from_dict(obj):
     from .builder import ClipReport
 
     return ClipReport(
-        retained=int(obj["retained"]),
-        discarded=int(obj["discarded"]),
+        retained=_count(obj["retained"], "clip_report retained"),
+        discarded=_count(obj["discarded"], "clip_report discarded"),
         discarded_max_abs=float(obj["discarded_max_abs"]),
         discarded_abs_sum=float(obj["discarded_abs_sum"]),
     )
+
+
+def _count(value, what: str) -> int:
+    """A header count: a non-negative JSON integer."""
+    if type(value) is not int or value < 0:
+        raise FormatError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _shape(value, what: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise FormatError(f"{what} must hold two entries, got {value!r}")
+    return tuple(_count(v, what) for v in value)
 
 
 def _model_matrices(model: DmnModel, head: ClassifierHead | None) -> list:
@@ -363,7 +377,7 @@ class _PayloadReader:
         self.offset = 0
 
     def take(self, shape) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if self.offset + nbytes > len(self.buf):
             raise FormatError("model file truncated inside the matrix payload")
@@ -403,54 +417,63 @@ def load_model(path) -> tuple:
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"unreadable model header: {err}") from err
     pos += header_len
-    reader = _PayloadReader(body[pos:])
 
+    # every header field is checked before any matrix is read
     try:
-        n = int(header["anchor_count"])
-        d = int(header["feature_dim"])
+        n = _count(header["anchor_count"], "anchor_count")
+        d = _count(header["feature_dim"], "feature_dim")
         kernels = [KernelSpec.from_dict(k) for k in header["arch"]["input_kernels"]]
-        layer_meta = header["arch"]["layers"]
-        unit_meta = header["units"]
+        layer_meta = [(_count(meta["width"], "layer width"), meta["activation"])
+                      for meta in header["arch"]["layers"]]
+        unit_meta = [
+            [(meta["activation"],
+              KernelSpec.from_dict(meta["kernel"]) if meta["kernel"] else None,
+              _shape(meta["anchors_shape"], "anchors_shape"),
+              _shape(meta["projection_shape"], "projection_shape"),
+              _clip_report_from_dict(meta["clip_report"]))
+             for meta in metas]
+            for metas in header["units"]
+        ]
         head_meta = header["head"]
+        classes = (None if head_meta is None
+                   else _count(head_meta["classes"], "head classes"))
         anchor_ids = tuple(header["anchor_ids"])
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
         raise FormatError(f"model header missing field: {err}") from err
+    except (TypeError, ValueError) as err:
+        raise FormatError(f"malformed model header: {err}") from err
 
+    reader = _PayloadReader(body[pos:])
     anchor_samples = reader.take((n, d))
     from .dkn import LayerSpec
 
     layers_spec = []
     prev = len(kernels)
-    for meta in layer_meta:
-        w = reader.take((int(meta["width"]), prev))
-        layers_spec.append(LayerSpec(width=int(meta["width"]),
-                                     activation=meta["activation"], weights=w))
-        prev = int(meta["width"])
+    for width, activation in layer_meta:
+        w = reader.take((width, prev))
+        layers_spec.append(LayerSpec(width=width, activation=activation, weights=w))
+        prev = width
     arch = DknArchitecture(input_kernels=kernels, layers=layers_spec)
 
     unit_layers = []
-    for l, metas in enumerate(unit_meta):
+    for metas in unit_meta:
         units = []
-        for meta in metas:
-            anchors = reader.take(tuple(meta["anchors_shape"]))
-            projection = reader.take(tuple(meta["projection_shape"]))
-            kern = KernelSpec.from_dict(meta["kernel"]) if meta["kernel"] else None
-            units.append(DmnUnit(activation=meta["activation"], anchors=anchors,
+        for activation, kern, anchors_shape, projection_shape, clip in metas:
+            anchors = reader.take(anchors_shape)
+            projection = reader.take(projection_shape)
+            units.append(DmnUnit(activation=activation, anchors=anchors,
                                  projection=projection, kernel=kern,
-                                 clip_report=_clip_report_from_dict(meta["clip_report"])))
+                                 clip_report=clip))
         unit_layers.append(units)
+    model = DmnModel(layers=unit_layers, arch=arch,
+                     anchor_samples=anchor_samples, anchor_ids=anchor_ids)
 
     head = None
-    if head_meta is not None:
-        classes = int(head_meta["classes"])
-        width = unit_layers[-1][0].projection.shape[1]
-        normals = reader.take((classes, width))
+    if classes is not None:
+        normals = reader.take((classes, model.final_width))
         trade_offs = reader.take((1, classes))[0]
         head = ClassifierHead(normals=normals, trade_offs=trade_offs)
 
     if reader.offset != len(reader.buf):
         raise FormatError("model file has trailing bytes after the payload")
-
-    model = DmnModel(layers=unit_layers, arch=arch,
-                     anchor_samples=anchor_samples, anchor_ids=anchor_ids)
     return model, head

@@ -4,7 +4,9 @@ Training alternates two moves: an exact squared-hinge solve for the
 per-class classifier normals over the current final maps, and one gradient
 step on the map parameters (projections, anchor matrices, mixing weights)
 with the normals held fixed.  Mixing weights are projected back onto the
-nonnegative orthant after every step.
+nonnegative orthant after every step.  A step that raises the objective is
+taken back and retried at half the learning rate, so the logged objective
+never increases.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ DEFAULT_CV_GRID = (0.01, 0.1, 1.0, 10.0)
 class TrainConfig:
     """Knobs for the alternating loop.
 
+    ``learning_rate`` is the first rate; the loop halves it whenever a step
+    raises the objective.  ``max_iters`` caps the logged iterations.
     ``c_policy`` may be a scalar (broadcast over classes), a per-class
     sequence, or None to keep the head's current trade-offs.  ``seed`` only
     matters to callers that randomize initialization; the loop itself draws
-    nothing.  ``halt_on_increase`` stops the loop at the first logged
-    objective increase; the step-size guard uses it to abandon an unstable
-    learning rate without paying for the remaining iterations.
+    nothing.
     """
 
     learning_rate: float = 1e-6
@@ -44,7 +46,6 @@ class TrainConfig:
     c_policy: object = None
     convergence_tol: float = 1e-6
     seed: int = 0
-    halt_on_increase: bool = False
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
@@ -300,75 +301,105 @@ def apply_gradients(model: DmnModel, bundle: GradientBundle, learning_rate: floa
         )
 
 
-def train(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
-          cfg: TrainConfig) -> tuple:
-    """Alternating optimization; returns ``(model, head, history)``.
+def _parameter_refs(model: DmnModel) -> list:
+    """``(owner, attribute, array)`` for every trainable array.
 
-    The inputs are left untouched; trained copies come back.  Each iteration
-    solves the classifier exactly, logs the objective, then (unless
-    converged) takes one gradient step on the map parameters.  Convergence
-    means the relative objective change stayed below ``convergence_tol`` for
-    ten consecutive iterations.  A non-finite objective aborts with the last
-    finite state attached to the exception.
+    Plain references are a faithful snapshot because ``apply_gradients``
+    rebinds these attributes and never writes into the arrays.
+    """
+    refs = [(unit, name, getattr(unit, name))
+            for units in model.layers for unit in units
+            for name in ("projection", "anchors")]
+    refs += [(spec, "weights", spec.weights) for spec in model.arch.layers]
+    return refs
+
+
+def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
+                     cfg: TrainConfig, max_halvings: int = 12) -> tuple:
+    """Alternating optimization with a backtracking learning rate; returns
+    ``(model, head, history, final_rate)``.
+
+    The inputs are left untouched; trained copies come back.  An evaluation
+    (exact classifier solve, then the objective) is rejected when it raises
+    a numeric error, is not finite, or rises above the last logged
+    objective.  A rejection puts back the last accepted parameters and
+    normals, halves the rate and applies the gradient already computed
+    there again.  Accepted evaluations are logged, so ``max_iters`` counts
+    logged iterations, and then take one step unless ``convergence_tol``
+    held for ten consecutive relative changes.  ``TrainingDivergedError``
+    is raised when the first evaluation fails or a rejection arrives after
+    ``max_halvings`` halvings; it carries the last accepted model, head and
+    history.
     """
     if data.num_classes != head.num_classes:
         raise ConfigError("head classes must match the dataset classes")
     model = copy.deepcopy(model)
-    head = ClassifierHead(head.normals.copy(), head.trade_offs.copy())
     C = as_per_class_c(head.trade_offs if cfg.c_policy is None else cfg.c_policy,
                        data.num_classes)
-    head.trade_offs = C
+    head = ClassifierHead(head.normals.copy(), C)
     X = data.features
     Y = data.labels
     kernel_rows = input_kernel_rows(model, X)
+    eta = cfg.learning_rate
     history = []
-    last_good = None
+    halvings = 0
     consec = 0
-    omega = head.normals
-    for it in range(1, cfg.max_iters + 1):
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    while True:
         try:
-            final, trace = forward_batch(model, X, kernel_rows=kernel_rows)
-            omega = svm_solve(final, Y, C, initial=omega)
-            total, hinge, reg = _objective_terms(omega, final, Y, C)
+            # overflow surfaces as a non-finite objective or as one of the
+            # errors below, and either way rejects the evaluation
+            with np.errstate(over="ignore", invalid="ignore"):
+                final, trace = forward_batch(model, X, kernel_rows=kernel_rows)
+                omega = svm_solve(final, Y, C, initial=head.normals)
+                total, hinge, reg = _objective_terms(omega, final, Y, C)
+            if not np.isfinite(total):
+                raise NumericRangeError("objective is not finite")
         except (NumericRangeError, np.linalg.LinAlgError, OverflowError) as err:
-            # a singular system or an overflowing norm here means the maps
-            # blew past float range
-            good_model, good_head = last_good if last_good else (None, None)
-            raise TrainingDivergedError(
-                f"iteration {it}: {err}", model=good_model, head=good_head,
-                history=history,
-            ) from err
-        if not np.isfinite(total):
-            good_model, good_head = last_good if last_good else (None, None)
-            raise TrainingDivergedError(
-                f"iteration {it}: objective is not finite", model=good_model,
-                head=good_head, history=history,
-            )
+            rejection = str(err)
+        else:
+            prev = history[-1].objective if history else total
+            rose = total > prev + 1e-12 * max(1.0, abs(prev))
+            rejection = f"objective rose from {prev!r} to {total!r}" if rose else None
+        if rejection is not None:
+            if not history:
+                raise TrainingDivergedError(f"iteration 1: {rejection}")
+            for owner, name, array in accepted:
+                setattr(owner, name, array)
+            if halvings == max_halvings:
+                raise TrainingDivergedError(
+                    f"iteration {len(history) + 1} at learning rate {eta:g}, "
+                    f"after {halvings} halvings: {rejection}",
+                    model=model, head=head, history=history,
+                )
+            halvings += 1
+            eta /= 2.0
+            apply_gradients(model, bundle, eta)
+            continue
         head.normals = omega
-        entry = TrainLogEntry(iteration=it, objective=total, hinge=hinge,
-                              regularizer=reg, wall_ms=0.0)
+        entry = TrainLogEntry(iteration=len(history) + 1, objective=total,
+                              hinge=hinge, regularizer=reg, wall_ms=0.0)
         history.append(entry)
-        last_good = (copy.deepcopy(model), ClassifierHead(omega.copy(), C.copy()))
         if len(history) >= 2:
             prev = history[-2].objective
-            if (cfg.halt_on_increase
-                    and total > prev + 1e-12 * max(1.0, abs(prev))):
-                entry.wall_ms = (time.perf_counter() - t0) * 1e3
-                break
             rel = abs(total - prev) / max(abs(prev), 1e-30)
             consec = consec + 1 if rel < cfg.convergence_tol else 0
-            if consec >= CONVERGENCE_WINDOW:
-                entry.wall_ms = (time.perf_counter() - t0) * 1e3
-                break
-        if it == cfg.max_iters:
-            entry.wall_ms = (time.perf_counter() - t0) * 1e3
-            break
-        grads = grad_output(head, final, Y, C)
-        bundle = backprop(model, trace, grads)
-        apply_gradients(model, bundle, cfg.learning_rate)
-        entry.wall_ms = (time.perf_counter() - t0) * 1e3
-    return model, head, history
+        done = consec >= CONVERGENCE_WINDOW or len(history) == cfg.max_iters
+        if not done:
+            bundle = backprop(model, trace, grad_output(head, final, Y, C))
+            accepted = _parameter_refs(model)
+            apply_gradients(model, bundle, eta)
+        now = time.perf_counter()
+        entry.wall_ms = (now - t0) * 1e3
+        t0 = now
+        if done:
+            return model, head, history, eta
+
+
+def train(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
+          cfg: TrainConfig) -> tuple:
+    """``train_with_guard`` without the final rate: ``(model, head, history)``."""
+    return train_with_guard(model, head, data, cfg)[:3]
 
 
 def cross_validate_C(data: LabeledDataset, model: DmnModel, folds: int = 3,

@@ -6,11 +6,15 @@ long-run fixed-step gradient descent.  Tests compare library output against
 these second routes rather than against the library itself.
 """
 
+import hashlib
+import json
+
 import numpy as np
 
 from dmapnet import (AnchorSet, ClassifierHead, DknArchitecture, KernelSpec,
                      LabeledDataset, LayerSpec, build_dmn,
-                     random_mixing_weights)
+                     random_mixing_weights, save_model)
+from dmapnet.model import MODEL_MAGIC
 
 
 def naive_evaluate(scores, labels):
@@ -126,3 +130,29 @@ def toy_problem(seed=0, n=8, d=3, K=2, n_anchors=6):
     head = ClassifierHead.random(K, model.final_width, trade_off=1.0,
                                  seed=seed, scale=0.5)
     return model, head, data
+
+
+def saved_with_header(path, edit, seed=0):
+    """Save a toy model with a head, pass its JSON header through ``edit``
+    and fix the checksum, so only the edited fields are wrong."""
+    model, head, _ = toy_problem(seed=seed)
+    save_model(model, head, path)
+    raw = path.read_bytes()
+    at = len(MODEL_MAGIC) + 4
+    size = int.from_bytes(raw[at:at + 4], "little")
+    header = json.loads(raw[at + 4:at + 4 + size])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = raw[:at] + len(text).to_bytes(4, "little") + text + raw[at + 4 + size:-32]
+    path.write_bytes(blob + hashlib.sha256(blob).digest())
+    return path
+
+
+def setting(*keys, value):
+    """A header edit that stores ``value`` under the nested ``keys``."""
+    def edit(header):
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return edit

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import helpers
-from dmapnet import TrainConfig, TrainingDivergedError, gradient_check
-from dmapnet.checks import W_BOUNDARY, train_with_guard
+from dmapnet import (TrainConfig, TrainingDivergedError, gradient_check,
+                     train_with_guard)
+from dmapnet.checks import W_BOUNDARY
 
 
 def test_gradient_check_passes_on_toy_problem():

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dmapnet import load_dataset, load_model
+import helpers
+from dmapnet import load_dataset, load_model, save_dataset
 from dmapnet.cli import main
 
 
@@ -99,8 +100,8 @@ def _small_model(tmp_path):
 
 
 def test_train_halves_an_unstable_eta(tmp_path, capsys):
-    # at 1e-3 the objective goes uphill on this problem; the guard halves
-    # the rate once and the written log is non-increasing
+    # at 1e-3 the objective goes uphill on this problem; the loop backs up
+    # and halves the rate twice, and the written log is non-increasing
     data_path, model_path = _small_model(tmp_path)
     log_path = tmp_path / "log.tsv"
     capsys.readouterr()
@@ -108,7 +109,7 @@ def test_train_halves_an_unstable_eta(tmp_path, capsys):
                  "--out", str(tmp_path / "trained.bin"), "--log",
                  str(log_path), "--c", "1.0", "--max-iters", "10",
                  "--eta", "1e-3"]) == 0
-    assert "accepted learning rate 0.0005" in capsys.readouterr().err
+    assert "accepted learning rate 0.00025" in capsys.readouterr().err
     objectives = [float(line.split("\t")[1])
                   for line in log_path.read_text().strip().split("\n")]
     assert len(objectives) == 10
@@ -116,13 +117,23 @@ def test_train_halves_an_unstable_eta(tmp_path, capsys):
 
 
 def test_train_overflowing_eta_is_halved(tmp_path, capsys):
-    # a rate large enough to overflow the class solve is a diverged attempt,
+    # a rate large enough to overflow the class solve is a rejected step,
     # not a traceback
     data_path, model_path = _small_model(tmp_path)
     assert main(["train", "--model", str(model_path), "--data", str(data_path),
                  "--out", str(tmp_path / "trained.bin"), "--c", "1.0",
                  "--max-iters", "10", "--eta", "1"]) == 0
     assert "accepted learning rate" in capsys.readouterr().err
+
+
+def test_eval_malformed_model_header_is_exit_one(tmp_path, capsys):
+    model_path = helpers.saved_with_header(
+        tmp_path / "model.bin", helpers.setting("anchor_count", value="abc"))
+    data_path = tmp_path / "data.tsv"
+    save_dataset(helpers.toy_dataset(), data_path)
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    assert "anchor_count" in capsys.readouterr().err
 
 
 def test_eval_without_head_is_input_error(tmp_path, capsys):
@@ -169,7 +180,28 @@ def test_config_invalid_json(tmp_path, capsys):
     config_path.write_text("{not json")
     assert main(["gen-data", "--config", str(config_path), "--out",
                  str(tmp_path / "x.tsv")]) == 1
+    config_path.write_bytes(b'{"n": "\xff"}')
+    assert main(["gen-data", "--config", str(config_path), "--out",
+                 str(tmp_path / "x.tsv")]) == 1
     capsys.readouterr()
+
+
+def test_build_rejects_malformed_text_inputs(tmp_path, capsys):
+    data_path = tmp_path / "data.tsv"
+    assert main(["gen-data", "--out", str(data_path), "--n", "20", "--d", "3",
+                 "--k", "2", "--seed", "7"]) == 0
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(json.dumps({
+        "input_kernels": [{"kind": "polynomial", "degree": "two"}],
+        "layers": [{"width": 1, "activation": "exp"}]}))
+    assert main(["build-dmn", "--data", str(data_path), "--out",
+                 str(tmp_path / "m.bin"), "--anchors", "8",
+                 "--arch", str(arch_path)]) == 1
+    assert "degree" in capsys.readouterr().err
+    data_path.write_bytes(b"\xff" + data_path.read_bytes())
+    assert main(["build-dmn", "--data", str(data_path), "--out",
+                 str(tmp_path / "m.bin"), "--anchors", "8"]) == 1
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_gen_data_invalid_noise(tmp_path, capsys):

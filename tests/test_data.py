@@ -136,6 +136,13 @@ def test_format_errors_carry_line_numbers(tmp_path):
         load_dataset(path)
 
 
+def test_non_utf8_dataset_is_format_error(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_bytes(b"2\t1\t1\ns\xff\t0.0\t0.0\t1\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_dataset(path)
+
+
 def test_label_token_variants(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_text("1\t1\t2\ns0\t0.5\t+1\ns1\t0.25\t-1\n")

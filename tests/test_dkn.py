@@ -49,6 +49,8 @@ def test_layer_spec_validation():
         LayerSpec(width=1, activation="tanh", weights=np.array([[0.5, -0.1]]))
     with pytest.raises(ConfigError):
         LayerSpec(width=1, activation="softmax", weights=np.ones((1, 2)))
+    with pytest.raises(ConfigError, match="width"):
+        LayerSpec(width="x", activation="tanh", weights=np.ones((1, 2)))
 
 
 def test_architecture_validation_and_shapes():
@@ -94,6 +96,30 @@ def test_missing_weights_are_seeded():
     assert (a.layers[0].weights == b.layers[0].weights).all()
     assert not (a.layers[0].weights == c.layers[0].weights).all()
     npt.assert_allclose(a.layers[0].weights.sum(axis=1), np.ones(3))
+
+
+def test_architecture_file_rejects_malformed_fields(tmp_path):
+    path = tmp_path / "arch.json"
+    # a layer without weights draws them from its width, so a bad width
+    # must be caught before the draw
+    path.write_text(json.dumps({"input_kernels": [{"kind": "linear"}],
+                                "layers": [{"width": "x", "activation": "exp"}]}))
+    with pytest.raises(ConfigError, match="width"):
+        load_architecture(path)
+    path.write_text(json.dumps({
+        "input_kernels": [{"kind": "polynomial", "degree": "two"}],
+        "layers": [{"width": 1, "activation": "exp"}]}))
+    with pytest.raises(ConfigError, match="degree"):
+        load_architecture(path)
+    for obj in ({"input_kernels": 5, "layers": []},
+                {"input_kernels": [{"kind": "linear"}], "layers": [5]},
+                {"input_kernels": [{"kind": "linear"}],
+                 "layers": [{"width": 1, "activation": "exp", "weights": "abc"}]}):
+        with pytest.raises(ConfigError):
+            DknArchitecture.from_json_dict(obj)
+    path.write_bytes(b'{"input_kernels": "\xff"}')
+    with pytest.raises(ConfigError):
+        load_architecture(path)
 
 
 def test_forward_grams_match_pair_evaluations():

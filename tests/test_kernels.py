@@ -41,6 +41,13 @@ def test_spec_validation():
         KernelSpec("polynomial", offset=-1.0)
     with pytest.raises(ConfigError):
         KernelSpec("rbf", gamma=0.0)
+    # non-numeric fields, as a JSON config may carry them
+    with pytest.raises(ConfigError, match="degree"):
+        KernelSpec("polynomial", degree="two")
+    with pytest.raises(ConfigError, match="offset"):
+        KernelSpec("polynomial", offset="x")
+    with pytest.raises(ConfigError, match="gamma"):
+        KernelSpec("rbf", gamma="x")
 
 
 def test_spec_dict_round_trip():

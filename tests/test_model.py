@@ -224,6 +224,21 @@ def test_load_rejects_version_zero(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("edit", [
+    helpers.setting("anchor_count", value="abc"),
+    helpers.setting("arch", "layers", 0, "width", value="x"),
+    helpers.setting("units", value=5),
+    helpers.setting("units", 1, 0, "anchors_shape", value=[-6, -9]),
+    helpers.setting("units", 1, 0, "projection_shape", value=[6, 3, 1]),
+    helpers.setting("head", "classes", value="two"),
+], ids=["anchor-count", "layer-width", "units", "negative-shape",
+        "three-entry-shape", "head-classes"])
+def test_load_rejects_malformed_header_fields(tmp_path, edit):
+    path = helpers.saved_with_header(tmp_path / "model.bin", edit, seed=23)
+    with pytest.raises(FormatError, match="model header"):
+        load_model(path)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     import hashlib
 

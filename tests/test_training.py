@@ -8,7 +8,8 @@ import helpers
 from dmapnet import (ClassifierHead, ConfigError, InputError, LabeledDataset,
                      TrainConfig, TrainingDivergedError, backprop,
                      cross_validate_C, forward_batch, format_history,
-                     grad_output, objective, svm_solve, train)
+                     grad_output, objective, svm_solve, train,
+                     train_with_guard)
 from dmapnet.training import (CONVERGENCE_WINDOW, apply_gradients,
                               as_per_class_c)
 
@@ -215,36 +216,6 @@ def test_train_convergence_window():
     assert len(objs) == 1
 
 
-def test_train_halt_on_increase():
-    model, head, data = helpers.toy_problem(seed=53)
-
-    def run(eta, halt):
-        cfg = TrainConfig(learning_rate=eta, max_iters=15, c_policy=10.0,
-                          convergence_tol=0.0, halt_on_increase=halt)
-        try:
-            _, _, history = train(model, head, data, cfg)
-        except TrainingDivergedError:
-            return None
-        return [e.objective for e in history]
-
-    # find a rate whose full log contains an increase but stays finite
-    for eta in (0.5, 0.1, 0.02, 4e-3, 8e-4):
-        objs = run(eta, halt=False)
-        if objs is None:
-            continue
-        slack = [1e-12 * max(1.0, abs(a)) for a in objs]
-        first_up = next((i for i, (a, b, s) in
-                         enumerate(zip(objs, objs[1:], slack)) if b > a + s),
-                        None)
-        if first_up is None:
-            continue
-        halted = run(eta, halt=True)
-        # the halted log is the prefix ending right at the first increase
-        assert halted == objs[:first_up + 2]
-        return
-    pytest.skip("no probed rate produced a finite increasing run")
-
-
 def test_train_divergence_carries_last_state():
     model, head, data = helpers.toy_problem(seed=54)
     cfg = TrainConfig(learning_rate=1e6, max_iters=50, c_policy=10.0,
@@ -257,6 +228,63 @@ def test_train_divergence_carries_last_state():
     # the attached state is finite and usable
     final, _ = forward_batch(err.model, data.features)
     assert np.isfinite(final).all()
+
+
+def test_apply_gradients_leaves_replaced_arrays_unchanged():
+    # the training loop snapshots parameters by reference, which is only
+    # sound while a step rebinds the arrays instead of writing into them
+    model, head, data = helpers.toy_problem(seed=66)
+    final, trace = forward_batch(model, data.features)
+    bundle = backprop(model, trace, grad_output(head, final, data.labels))
+    owners = [(unit, name) for units in model.layers for unit in units
+              for name in ("projection", "anchors")]
+    owners += [(spec, "weights") for spec in model.arch.layers]
+    before = [getattr(owner, name) for owner, name in owners]
+    copies = [array.copy() for array in before]
+    apply_gradients(model, bundle, 1e-2)
+    for (owner, name), old, saved in zip(owners, before, copies):
+        assert (old == saved).all()
+    changed = [getattr(owner, name) is not old
+               for (owner, name), old in zip(owners, before)]
+    assert any(changed)
+
+
+def test_backtracking_never_reruns_an_accepted_iteration(monkeypatch):
+    import dmapnet.training as training
+
+    model, head, data = helpers.toy_problem(seed=64)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward_batch(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_batch", counted)
+    cfg = TrainConfig(learning_rate=10.0, max_iters=15, c_policy=4.0,
+                      convergence_tol=0.0)
+    _, _, history, eta = train_with_guard(model, head, data, cfg,
+                                          max_halvings=40)
+    halvings = int(round(np.log2(cfg.learning_rate / eta)))
+    assert halvings > 0
+    # one evaluation per logged iteration plus one per rejected step
+    assert len(calls) == len(history) + halvings
+    objs = [e.objective for e in history]
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+
+def test_exhausted_halvings_carry_the_last_accepted_state():
+    model, head, data = helpers.toy_problem(seed=65)
+    cfg = TrainConfig(learning_rate=1e9, max_iters=10, c_policy=10.0,
+                      convergence_tol=0.0)
+    with pytest.raises(TrainingDivergedError) as info:
+        train_with_guard(model, head, data, cfg, max_halvings=1)
+    err = info.value
+    # the first iterate was accepted; every step from it was rejected
+    assert [e.iteration for e in err.history] == [1]
+    final, _ = forward_batch(err.model, data.features)
+    assert np.isfinite(final).all()
+    npt.assert_allclose(objective(err.model, err.head, data),
+                        err.history[-1].objective, rtol=1e-12)
 
 
 def test_format_history_round_trips():
