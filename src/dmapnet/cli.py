@@ -161,6 +161,8 @@ def _resolve(args, command: str) -> dict:
                 raise ConfigError(f"missing required option --{name}")
             value = default
         out[name.replace("-", "_")] = value
+    if out.get("anchors", 2) < 2:
+        raise ConfigError(f"--anchors must be at least 2, got {out['anchors']}")
     return out
 
 

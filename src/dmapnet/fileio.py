@@ -11,13 +11,22 @@ import os
 import tempfile
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, data) -> None:
+    """Write ``data`` to ``path`` atomically.
+
+    ``data`` is either one bytes object or an iterable of bytes-like parts
+    (bytes, memoryviews, C-contiguous numpy arrays), written in order, so a
+    large file can be streamed without first being joined in memory.
+    """
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in data:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:

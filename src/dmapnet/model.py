@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,37 +361,56 @@ def save_model(model: DmnModel, head: ClassifierHead | None, path) -> None:
         "head": None if head is None else {"classes": int(head.num_classes)},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [MODEL_MAGIC,
-             int(MODEL_VERSION).to_bytes(4, "little"),
-             len(header_bytes).to_bytes(4, "little"),
-             header_bytes]
-    for mat in _model_matrices(model, head):
-        parts.append(np.ascontiguousarray(mat, dtype="<f8").tobytes())
-    blob = b"".join(parts)
-    digest = hashlib.sha256(blob).digest()
-    atomic_write_bytes(path, blob + digest)
+    prefix = (MODEL_MAGIC + int(MODEL_VERSION).to_bytes(4, "little")
+              + len(header_bytes).to_bytes(4, "little") + header_bytes)
+
+    def parts():
+        # each matrix goes to the checksum and the file as it is, uncopied
+        digest = hashlib.sha256(prefix)
+        yield prefix
+        for mat in _model_matrices(model, head):
+            part = np.ascontiguousarray(mat, dtype="<f8")
+            digest.update(part)
+            yield part
+        yield digest.digest()
+
+    atomic_write_bytes(path, parts())
 
 
 class _PayloadReader:
-    def __init__(self, buf: bytes):
+    """Hands out consecutive matrices as views of one uint8 buffer."""
+
+    def __init__(self, buf: np.ndarray):
         self.buf = buf
         self.offset = 0
 
     def take(self, shape) -> np.ndarray:
-        count = math.prod(shape)
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8
         if self.offset + nbytes > len(self.buf):
             raise FormatError("model file truncated inside the matrix payload")
-        arr = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self.offset)
+        arr = self.buf[self.offset:self.offset + nbytes].view("<f8")
         self.offset += nbytes
-        return arr.astype(np.float64).reshape(shape)
+        return arr.reshape(shape)
 
 
 def load_model(path) -> tuple:
-    """Read a model container; returns ``(model, head_or_None)``."""
+    """Read a model container; returns ``(model, head_or_None)``.
+
+    The file is read once into one buffer, placed so that the payload starts
+    on an 8-byte boundary.  Every returned matrix is an aligned, writable
+    view of that buffer, which lives as long as any of them does.
+    """
+    prefix_len = len(MODEL_MAGIC) + 4 + 4
     with open(path, "rb") as fh:
-        raw = fh.read()
-    min_len = len(MODEL_MAGIC) + 4 + 4 + 32
+        size = os.fstat(fh.fileno()).st_size
+        payload_at = prefix_len + int.from_bytes(
+            fh.read(prefix_len)[prefix_len - 4:], "little")
+        buf = np.empty(size + 7, dtype=np.uint8)
+        start = -(buf.ctypes.data + payload_at) % 8
+        fh.seek(0)
+        raw = memoryview(buf[start:start + size])
+        raw = raw[:fh.readinto(raw)]
+    min_len = prefix_len + 32
     if len(raw) < min_len:
         raise FormatError("model file too short to be valid")
     if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
@@ -413,7 +433,7 @@ def load_model(path) -> tuple:
     if pos + header_len > len(body):
         raise FormatError("model file truncated inside the header")
     try:
-        header = json.loads(body[pos:pos + header_len].decode("utf-8"))
+        header = json.loads(str(body[pos:pos + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"unreadable model header: {err}") from err
     pos += header_len
@@ -443,7 +463,7 @@ def load_model(path) -> tuple:
     except (TypeError, ValueError) as err:
         raise FormatError(f"malformed model header: {err}") from err
 
-    reader = _PayloadReader(body[pos:])
+    reader = _PayloadReader(buf[start + pos:start + len(body)])
     anchor_samples = reader.take((n, d))
     from .dkn import LayerSpec
 

@@ -217,6 +217,11 @@ def test_build_more_anchors_than_samples(tmp_path, capsys):
     assert main(["build-dmn", "--data", str(data_path), "--out",
                  str(tmp_path / "m.bin"), "--anchors", "50"]) == 1
     capsys.readouterr()
+    for count in ("-3", "0", "1"):
+        assert main(["build-dmn", "--data", str(data_path), "--out",
+                     str(tmp_path / "m.bin"), "--anchors", count]) == 1
+        assert "at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_gradcheck_command(tmp_path, capsys):
@@ -250,6 +255,12 @@ def test_prop1_check_bad_scale(capsys):
     capsys.readouterr()
 
 
+def test_prop1_check_rejects_too_few_anchors(capsys):
+    for count in ("-3", "1"):
+        assert main(["prop1-check", "--anchors", count, "--d", "3"]) == 1
+        assert "at least 2" in capsys.readouterr().err
+
+
 def test_bench_command_writes_reports(tmp_path, capsys):
     prefix = tmp_path / "bench"
     assert main(["bench", "--out", str(prefix), "--sizes", "4,8",
@@ -267,6 +278,15 @@ def test_bench_rejects_fractional_sizes(tmp_path, capsys):
     assert main(["bench", "--out", str(prefix), "--sizes", "4,1.5",
                  "--anchors", "10", "--d", "3"]) == 1
     assert "must hold integers" in capsys.readouterr().err
+    assert not (tmp_path / "bench.tsv").exists()
+
+
+def test_bench_rejects_too_few_anchors(tmp_path, capsys):
+    prefix = tmp_path / "bench"
+    for count in ("-3", "1"):
+        assert main(["bench", "--out", str(prefix), "--sizes", "4",
+                     "--anchors", count, "--d", "3"]) == 1
+        assert "at least 2" in capsys.readouterr().err
     assert not (tmp_path / "bench.tsv").exists()
 
 

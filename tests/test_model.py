@@ -1,16 +1,21 @@
 """Explicit map models: forward passes, classification, binary container."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import helpers
-from dmapnet import (AnchorSet, ClassifierHead, ConfigError, FormatError,
-                     InputError, LayerSpec, NumericRangeError, VersionError,
-                     build_dmn, classify, forward_batch, input_kernel_rows,
-                     load_model, random_mixing_weights, save_model,
-                     score_batch)
-from dmapnet.model import MODEL_MAGIC, MODEL_VERSION, concat_with_weights
+from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
+                     FormatError, InputError, KernelSpec, LayerSpec,
+                     NumericRangeError, VersionError, build_dmn, classify,
+                     default_architecture, default_input_kernels,
+                     forward_batch, input_kernel_rows, load_model,
+                     random_mixing_weights, save_model, score_batch)
+from dmapnet.model import (MODEL_MAGIC, MODEL_VERSION, _model_matrices,
+                           concat_with_weights)
 
 
 def test_forward_batch_shapes_and_trace():
@@ -153,6 +158,9 @@ def test_save_load_round_trip_bitwise(tmp_path):
         assert (a.weights == b.weights).all()
     assert (loaded_head.normals == head.normals).all()
     assert (loaded_head.trade_offs == head.trade_offs).all()
+    for mat in _model_matrices(loaded, loaded_head):
+        assert mat.flags.aligned and mat.flags.c_contiguous
+        assert mat.flags.writeable
 
     # a second save of the loaded model reproduces the file byte for byte
     path2 = tmp_path / "model2.bin"
@@ -197,29 +205,43 @@ def test_load_rejects_corruption(tmp_path):
         load_model(tmp_path / "missing.bin")
 
 
-def _saved_with_version(tmp_path, seed, version):
-    """A valid model file whose header names ``version``, checksum fixed."""
-    import hashlib
-
+def _saved_with_u32(tmp_path, seed, at, value):
+    """A model file whose little-endian uint32 at offset ``at`` reads
+    ``value``, checksum fixed."""
     model = helpers.toy_model(seed=seed)
     path = tmp_path / "model.bin"
     save_model(model, None, path)
     body = bytearray(path.read_bytes()[:-32])
-    version_at = len(MODEL_MAGIC)
-    body[version_at:version_at + 4] = version.to_bytes(4, "little")
+    body[at:at + 4] = value.to_bytes(4, "little")
     blob = bytes(body)
     path.write_bytes(blob + hashlib.sha256(blob).digest())
     return path
 
 
+def test_load_rejects_payload_shorter_than_the_shapes(tmp_path):
+    path = helpers.saved_with_header(
+        tmp_path / "model.bin",
+        helpers.setting("units", 1, 0, "anchors_shape", value=[6, 300]),
+        seed=24)
+    with pytest.raises(FormatError, match="truncated inside the matrix payload"):
+        load_model(path)
+
+
+def test_load_rejects_header_length_past_the_body(tmp_path):
+    path = _saved_with_u32(tmp_path, 25, len(MODEL_MAGIC) + 4, 1 << 20)
+    assert path.stat().st_size < 1 << 20
+    with pytest.raises(FormatError, match="truncated inside the header"):
+        load_model(path)
+
+
 def test_load_rejects_newer_version(tmp_path):
-    path = _saved_with_version(tmp_path, 19, MODEL_VERSION + 1)
+    path = _saved_with_u32(tmp_path, 19, len(MODEL_MAGIC), MODEL_VERSION + 1)
     with pytest.raises(VersionError):
         load_model(path)
 
 
 def test_load_rejects_version_zero(tmp_path):
-    path = _saved_with_version(tmp_path, 22, 0)
+    path = _saved_with_u32(tmp_path, 22, len(MODEL_MAGIC), 0)
     with pytest.raises(FormatError, match="version 0"):
         load_model(path)
 
@@ -240,8 +262,6 @@ def test_load_rejects_malformed_header_fields(tmp_path, edit):
 
 
 def test_load_rejects_trailing_bytes(tmp_path):
-    import hashlib
-
     model = helpers.toy_model(seed=20)
     path = tmp_path / "model.bin"
     save_model(model, None, path)
@@ -263,6 +283,55 @@ def test_save_leaves_no_partial_file_on_error(tmp_path):
     leftovers = [p for p in tmp_path.iterdir() if p.name != "sub"]
     assert leftovers == []
     assert list(target.iterdir()) == []
+
+
+def test_worked_example_in_model_format_doc(tmp_path):
+    # the two-anchor model of docs/model_format.md, byte offsets as printed
+    arch = DknArchitecture(
+        input_kernels=[KernelSpec("linear")],
+        layers=[LayerSpec(width=1, activation="exp", weights=[[1.0]])])
+    model = build_dmn(arch, AnchorSet(samples=[[0.25], [1.0]], ids=("a", "b")))
+    head = ClassifierHead(normals=[[0.5, -0.25]], trade_offs=[2.0])
+    path = tmp_path / "example.bin"
+    save_model(model, head, path)
+    raw = path.read_bytes()
+
+    assert len(raw) == 800
+    assert raw[:8] == MODEL_MAGIC
+    assert int.from_bytes(raw[8:12], "little") == 1
+    assert int.from_bytes(raw[12:16], "little") == 624
+    payload = np.frombuffer(raw[640:768], dtype="<f8")
+    npt.assert_array_equal(payload[:9], [0.25, 1.0, 1.0, 0.25, 1.0, 4 / 17,
+                                         16 / 17, 0.25, 1.0])
+    npt.assert_allclose(payload[9:13], [0.2590, -1.4548, 0.4748, 0.7935],
+                        atol=5e-5)
+    npt.assert_array_equal(payload[13:], [0.5, -0.25, 2.0])
+    assert raw[768:776] == bytes.fromhex("4C4F6B6C64B35AD5")
+    assert raw[768:] == hashlib.sha256(raw[:768]).digest()
+
+
+def test_container_round_trip_does_not_copy_the_payload(tmp_path):
+    rng = np.random.default_rng(26)
+    model = build_dmn(default_architecture(default_input_kernels(), seed=26),
+                      AnchorSet(samples=rng.random((300, 10))))
+    payload = sum(mat.nbytes for mat in _model_matrices(model, None))
+    assert payload > 20e6
+    path = tmp_path / "model.bin"
+
+    tracemalloc.start()
+    try:
+        save_model(model, None, path)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        loaded, _ = load_model(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 0.5 * payload
+    assert load_peak - before < 1.25 * payload
+    assert (loaded.layers[-1][0].projection
+            == model.layers[-1][0].projection).all()
 
 
 def test_returned_final_maps_are_the_trace_final_layer():
