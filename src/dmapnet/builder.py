@@ -129,14 +129,17 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
 
 
 def build_input_layer(specs, anchors: AnchorSet,
-                      clip_ratio: float = DEFAULT_CLIP_RATIO) -> list:
+                      clip_ratio: float = DEFAULT_CLIP_RATIO) -> tuple:
     """Explicit maps for each base kernel over the anchor set.
 
-    Each unit stores the projection from the eigendecomposition of its gram
-    and, as its anchors, its own map of the anchor samples (gram times
-    projection), whose row inner products reproduce the gram.
+    Returns ``(units, maps)``.  Each unit stores the projection from the
+    eigendecomposition of its gram and a zero-column anchor matrix; ``maps``
+    holds each unit's map of the anchor samples (gram times projection),
+    whose row inner products reproduce the gram.  Only the layer above
+    needs those maps, while it is built.
     """
     units = []
+    maps = []
     for q, spec in enumerate(specs):
         K = gram_matrix(spec, anchors.samples).values
         K = (K + K.T) / 2.0
@@ -145,9 +148,11 @@ def build_input_layer(specs, anchors: AnchorSet,
         except DegenerateGramError as err:
             raise BuildError(f"layer 1, unit {q + 1}: {err}") from err
         U = factor.projection()
-        units.append(DmnUnit(activation=IDENTITY, anchors=K @ U, projection=U,
+        units.append(DmnUnit(activation=IDENTITY,
+                             anchors=np.zeros((anchors.count, 0)), projection=U,
                              kernel=spec, clip_report=factor.clip_report))
-    return units
+        maps.append(K @ U)
+    return units, maps
 
 
 def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
@@ -165,11 +170,11 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
                 f"discarded {report.discarded} "
                 f"(max |eig| {report.discarded_max_abs:.3e})")
 
-    input_units = build_input_layer(arch.input_kernels, anchors, clip_ratio)
+    input_units, lower_outputs = build_input_layer(arch.input_kernels, anchors,
+                                                   clip_ratio)
     for q, unit in enumerate(input_units):
         emit(1, q + 1, unit.clip_report)
     unit_layers = [input_units]
-    lower_outputs = [unit.anchors for unit in input_units]
     for li, layer_spec in enumerate(arch.layers):
         layer_no = li + 2
         units = []
@@ -183,7 +188,7 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
                     f"layer {layer_no}, unit {p + 1}: exp argument exceeds "
                     f"{EXP_ARG_LIMIT:g}"
                 )
-            G = activation_apply(layer_spec.activation, pre)
+            G = activation_apply(layer_spec.activation, pre, out=pre)
             try:
                 factor = eigen_projection(G, clip_ratio)
             except DegenerateGramError as err:

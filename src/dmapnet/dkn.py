@@ -24,15 +24,20 @@ IDENTITY = "identity"
 ACTIVATIONS = (TANH, EXP, IDENTITY)
 
 
-def activation_apply(name: str, values):
+def activation_apply(name: str, values, out=None):
+    """The activation of ``values``, written into ``out`` when it is given
+    (``out=values`` activates in place)."""
     if name == TANH:
-        return np.tanh(values)
+        return np.tanh(values, out=out)
     if name == EXP:
         # overflow yields inf silently; callers validate finiteness
         with np.errstate(over="ignore"):
-            return np.exp(values)
+            return np.exp(values, out=out)
     if name == IDENTITY:
-        return np.asarray(values, dtype=np.float64)
+        if out is None or out is values:
+            return np.asarray(values, dtype=np.float64)
+        np.copyto(out, values)
+        return out
     raise ConfigError(f"unknown activation {name!r}")
 
 

@@ -34,9 +34,12 @@ class DmnUnit:
     """One map unit: anchors, projection and activation.
 
     For input-layer units ``kernel`` is set, ``activation`` is identity and
-    ``anchors`` holds the unit's own map of the anchor samples (used while
-    building the layer above).  For later layers ``anchors`` rows live in the
-    concatenated lower map space and are free parameters during training.
+    ``anchors`` is an ``(anchor_count, 0)`` matrix: the unit's map of a sample
+    needs only its kernel values against the anchor samples.  Models saved
+    before the builder stopped keeping them may instead carry the unit's own
+    map of the anchor samples there, which nothing reads.  For later layers
+    ``anchors`` rows live in the concatenated lower map space and are free
+    parameters during training.
     """
 
     activation: str
@@ -87,12 +90,29 @@ class DmnModel:
             raise ConfigError("anchor ids must match the anchor sample count")
         if len(self.layers) != self.arch.num_layers:
             raise ConfigError("unit layers must match the architecture depth")
+        n = self.anchor_samples.shape[0]
+        lower_width = 0
         for l, units in enumerate(self.layers):
             expected = self.arch.widths[l]
             if len(units) != expected:
                 raise ConfigError(
                     f"layer {l + 1} has {len(units)} units, expected {expected}"
                 )
+            for p, unit in enumerate(units):
+                if unit.projection.shape[0] != n or unit.anchors.shape[0] != n:
+                    raise ConfigError(
+                        f"layer {l + 1}, unit {p + 1}: anchors and projection "
+                        f"must have one row per anchor sample ({n})"
+                    )
+                columns = unit.anchors.shape[1]
+                allowed = (0, unit.width) if l == 0 else (lower_width,)
+                if columns not in allowed:
+                    raise ConfigError(
+                        f"layer {l + 1}, unit {p + 1}: anchors have {columns} "
+                        f"columns, expected "
+                        + " or ".join(str(a) for a in allowed)
+                    )
+            lower_width = sum(unit.width for unit in units)
 
     @property
     def anchor_count(self) -> int:
@@ -212,10 +232,10 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
             new_outs = []
             new_hs = []
             for p, unit in enumerate(units):
-                cmat = concat_with_weights(outs, weights[p])
-                smat = cmat @ unit.anchors.T
-                _check_finite(smat, li + 2, p + 1, "pre-activation")
-                hmat = activation_apply(unit.activation, smat)
+                # the concatenation is a temporary, freed once multiplied
+                hmat = concat_with_weights(outs, weights[p]) @ unit.anchors.T
+                _check_finite(hmat, li + 2, p + 1, "pre-activation")
+                hmat = activation_apply(unit.activation, hmat, out=hmat)
                 phi = hmat @ unit.projection
                 _check_finite(phi, li + 2, p + 1, "map")
                 new_hs.append(hmat)
@@ -232,7 +252,8 @@ def concat_with_weights(lower_maps, weights_row) -> np.ndarray:
 
     Inner products of the concatenated rows equal the weighted sum of the
     lower maps' inner products.  Zero weights keep their block (as zeros) so
-    widths never change."""
+    widths never change.  Each scaled block is written straight into the
+    one result array."""
     if len(lower_maps) != len(weights_row):
         raise ConfigError(
             f"{len(weights_row)} weights for {len(lower_maps)} lower maps"
@@ -241,8 +262,13 @@ def concat_with_weights(lower_maps, weights_row) -> np.ndarray:
         raise ConfigError("mixing weights must be nonnegative")
     if len({m.shape[0] for m in lower_maps}) > 1:
         raise InputError("lower maps must agree on the number of rows")
-    parts = [np.sqrt(w) * m for w, m in zip(weights_row, lower_maps)]
-    return np.hstack(parts)
+    result = np.empty((lower_maps[0].shape[0],
+                       sum(m.shape[1] for m in lower_maps)))
+    at = 0
+    for w, m in zip(weights_row, lower_maps):
+        np.multiply(np.sqrt(w), m, out=result[:, at:at + m.shape[1]])
+        at += m.shape[1]
+    return result
 
 
 def score_batch(model: DmnModel, head: ClassifierHead, X, kernel_rows=None) -> np.ndarray:
@@ -469,24 +495,27 @@ def load_model(path) -> tuple:
 
     layers_spec = []
     prev = len(kernels)
-    for width, activation in layer_meta:
-        w = reader.take((width, prev))
-        layers_spec.append(LayerSpec(width=width, activation=activation, weights=w))
-        prev = width
-    arch = DknArchitecture(input_kernels=kernels, layers=layers_spec)
-
     unit_layers = []
-    for metas in unit_meta:
-        units = []
-        for activation, kern, anchors_shape, projection_shape, clip in metas:
-            anchors = reader.take(anchors_shape)
-            projection = reader.take(projection_shape)
-            units.append(DmnUnit(activation=activation, anchors=anchors,
-                                 projection=projection, kernel=kern,
-                                 clip_report=clip))
-        unit_layers.append(units)
-    model = DmnModel(layers=unit_layers, arch=arch,
-                     anchor_samples=anchor_samples, anchor_ids=anchor_ids)
+    try:
+        for width, activation in layer_meta:
+            w = reader.take((width, prev))
+            layers_spec.append(LayerSpec(width=width, activation=activation,
+                                         weights=w))
+            prev = width
+        arch = DknArchitecture(input_kernels=kernels, layers=layers_spec)
+        for metas in unit_meta:
+            units = []
+            for activation, kern, anchors_shape, projection_shape, clip in metas:
+                anchors = reader.take(anchors_shape)
+                projection = reader.take(projection_shape)
+                units.append(DmnUnit(activation=activation, anchors=anchors,
+                                     projection=projection, kernel=kern,
+                                     clip_report=clip))
+            unit_layers.append(units)
+        model = DmnModel(layers=unit_layers, arch=arch,
+                         anchor_samples=anchor_samples, anchor_ids=anchor_ids)
+    except ConfigError as err:
+        raise FormatError(f"inconsistent model file: {err}") from err
 
     head = None
     if classes is not None:

@@ -156,3 +156,20 @@ def setting(*keys, value):
             target = target[key]
         target[keys[-1]] = value
     return edit
+
+
+def saved_with_model_edit(path, edit, seed=0):
+    """Save a toy model with a head after passing the model through
+    ``edit``; the file's checksum is valid whatever the edit broke."""
+    model, head, _ = toy_problem(seed=seed)
+    edit(model)
+    save_model(model, head, path)
+    return path
+
+
+def replacing(layer, unit, name, change):
+    """A model edit that replaces one unit matrix by ``change`` of it."""
+    def edit(model):
+        target = model.layers[layer][unit]
+        setattr(target, name, change(getattr(target, name)))
+    return edit

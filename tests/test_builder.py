@@ -109,13 +109,15 @@ def test_input_layer_reproduces_base_grams():
     rng = np.random.default_rng(30)
     anchors = AnchorSet(samples=rng.uniform(0.0, 1.0, size=(12, 4)))
     specs = default_input_kernels(gamma=0.6)
-    units = build_input_layer(specs, anchors)
-    assert len(units) == len(specs)
-    for spec, unit in zip(specs, units):
+    units, maps = build_input_layer(specs, anchors)
+    assert len(units) == len(maps) == len(specs)
+    for spec, unit, phi in zip(specs, units, maps):
         K = gram_matrix(spec, anchors.samples).values
-        phi = unit.anchors  # the unit's own map of the anchor samples
+        # phi is the unit's own map of the anchor samples; the unit keeps
+        # no copy of it
         err = np.linalg.norm(phi @ phi.T - K, 2) / np.linalg.norm(K, 2)
         assert err <= 1e-8
+        assert unit.anchors.shape == (anchors.count, 0)
         assert unit.kernel == spec
         assert unit.activation == "identity"
 

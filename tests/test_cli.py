@@ -136,6 +136,20 @@ def test_eval_malformed_model_header_is_exit_one(tmp_path, capsys):
     assert "anchor_count" in capsys.readouterr().err
 
 
+def test_eval_inconsistent_model_shapes_is_exit_one(tmp_path, capsys):
+    # a checksum-valid file whose layer-2 unit 1 anchors lost a column
+    model_path = helpers.saved_with_model_edit(
+        tmp_path / "model.bin",
+        helpers.replacing(1, 0, "anchors", lambda mat: mat[:, :-1]))
+    data_path = tmp_path / "data.tsv"
+    save_dataset(helpers.toy_dataset(), data_path)
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert "layer 2, unit 1" in err
+    assert "Traceback" not in err
+
+
 def test_eval_without_head_is_input_error(tmp_path, capsys):
     data_path = tmp_path / "data.tsv"
     model_path = tmp_path / "model.bin"

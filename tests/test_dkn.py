@@ -30,6 +30,17 @@ def test_activations():
         activation_prime("relu", v)
 
 
+@pytest.mark.parametrize("name", ["tanh", "exp", "identity"])
+def test_activation_in_place_is_exact(name):
+    x = np.random.default_rng(6).standard_normal((7, 9))
+    expected = activation_apply(name, x.copy())
+    out = np.empty_like(x)
+    assert activation_apply(name, x, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert activation_apply(name, x, out=x) is x
+    assert x.tobytes() == expected.tobytes()
+
+
 def test_random_mixing_weights():
     rng = np.random.default_rng(0)
     w = random_mixing_weights(4, 3, rng)

@@ -1,5 +1,6 @@
 """Explicit map models: forward passes, classification, binary container."""
 
+import copy
 import hashlib
 import tracemalloc
 
@@ -9,11 +10,12 @@ import pytest
 
 import helpers
 from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
-                     FormatError, InputError, KernelSpec, LayerSpec,
-                     NumericRangeError, VersionError, build_dmn, classify,
-                     default_architecture, default_input_kernels,
-                     forward_batch, input_kernel_rows, load_model,
-                     random_mixing_weights, save_model, score_batch)
+                     DmnModel, FormatError, InputError, KernelSpec, LayerSpec,
+                     NumericRangeError, VersionError, build_dmn,
+                     build_input_layer, classify, default_architecture,
+                     default_input_kernels, forward_batch, input_kernel_rows,
+                     load_model, random_mixing_weights, save_model,
+                     score_batch)
 from dmapnet.model import (MODEL_MAGIC, MODEL_VERSION, _model_matrices,
                            concat_with_weights)
 
@@ -83,6 +85,35 @@ def test_concat_with_weights_zero_block():
     assert (out[:, :2] == 0.0).all()
     with pytest.raises(ConfigError):
         concat_with_weights([a, b], np.array([1.0, -1.0]))
+
+
+def test_concat_with_weights_matches_hstack_bitwise():
+    rng = np.random.default_rng(28)
+    maps = [rng.standard_normal((5, width)) for width in (3, 1, 4)]
+    weights = np.array([0.3, 0.0, 1.7])
+    expected = np.hstack([np.sqrt(w) * m for w, m in zip(weights, maps)])
+    out = concat_with_weights(maps, weights)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_forward_batch_holds_one_concatenation_at_a_time():
+    # beyond what the returned trace keeps, a forward pass needs at most one
+    # scaled concatenation (the widest) and one pre-activation at once
+    rng = np.random.default_rng(27)
+    model = build_dmn(default_architecture(default_input_kernels(), seed=27),
+                      AnchorSet(samples=rng.random((300, 10))))
+    X = rng.random((300, 10))
+    n, m = X.shape[0], model.anchor_count
+    widest = max(sum(unit.width for unit in units) for units in model.layers[:-1])
+    tracemalloc.start()
+    try:
+        final, trace = forward_batch(model, X)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert final is trace.final
+    assert peak - held < 8 * n * (widest + m)
 
 
 def test_classify_sign_convention():
@@ -261,6 +292,69 @@ def test_load_rejects_malformed_header_fields(tmp_path, edit):
         load_model(path)
 
 
+def _without_last_column(mat):
+    return mat[:, :-1]
+
+
+def _with_zero_column(mat):
+    return np.hstack([mat, np.zeros((mat.shape[0], 1))])
+
+
+def _rows_unlike_anchor_count(model):
+    unit = model.layers[1][0]
+    unit.anchors, unit.projection = unit.anchors[:-1], unit.projection[:-1]
+
+
+@pytest.mark.parametrize("edit, where", [
+    (helpers.replacing(1, 0, "anchors", _without_last_column), "layer 2, unit 1"),
+    (helpers.replacing(1, 2, "anchors", _with_zero_column), "layer 2, unit 3"),
+    (helpers.replacing(1, 1, "projection", _without_last_column), "layer 3, unit 1"),
+    (helpers.replacing(0, 1, "anchors", _with_zero_column), "layer 1, unit 2"),
+    (_rows_unlike_anchor_count, "layer 2, unit 1"),
+], ids=["upper-anchors-lost-a-column", "upper-anchors-extra-column",
+        "lower-width-changed", "input-anchors-wrong-width",
+        "rows-unlike-anchor-count"])
+def test_cross_layer_shapes_are_checked(tmp_path, edit, where):
+    model, _, _ = helpers.toy_problem(seed=30)
+    edit(model)
+    with pytest.raises(ConfigError, match=where):
+        DmnModel(layers=model.layers, arch=model.arch,
+                 anchor_samples=model.anchor_samples)
+    path = helpers.saved_with_model_edit(tmp_path / "model.bin", edit, seed=30)
+    with pytest.raises(FormatError, match=f"inconsistent model file: {where}"):
+        load_model(path)
+
+
+def test_files_with_input_anchor_maps_still_load(tmp_path):
+    # files written before input units dropped their anchor maps store
+    # K @ U there: they load, score like the lean model and re-save as is
+    rng = np.random.default_rng(29)
+    arch = helpers.toy_arch(rng)
+    anchors = AnchorSet(samples=rng.uniform(0.0, 0.5, size=(6, 3)))
+    model = build_dmn(arch, anchors)
+    head = ClassifierHead.random(2, model.final_width, seed=29)
+    _, maps = build_input_layer(arch.input_kernels, anchors)
+    old = copy.deepcopy(model)
+    for unit, phi in zip(old.layers[0], maps):
+        unit.anchors = phi
+    old_path, lean_path = tmp_path / "old.bin", tmp_path / "lean.bin"
+    save_model(old, head, old_path)
+    save_model(model, head, lean_path)
+    # one-digit widths, so the headers are equally long
+    extra = 8 * anchors.count * sum(phi.shape[1] for phi in maps)
+    assert old_path.stat().st_size == lean_path.stat().st_size + extra
+
+    loaded, loaded_head = load_model(old_path)
+    for unit, phi in zip(loaded.layers[0], maps):
+        assert unit.anchors.tobytes() == phi.tobytes()
+    X = rng.uniform(0.0, 0.5, size=(5, 3))
+    assert (score_batch(loaded, loaded_head, X).tobytes()
+            == score_batch(model, head, X).tobytes())
+    again = tmp_path / "again.bin"
+    save_model(loaded, loaded_head, again)
+    assert again.read_bytes() == old_path.read_bytes()
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     model = helpers.toy_model(seed=20)
     path = tmp_path / "model.bin"
@@ -296,18 +390,19 @@ def test_worked_example_in_model_format_doc(tmp_path):
     save_model(model, head, path)
     raw = path.read_bytes()
 
-    assert len(raw) == 800
+    assert len(raw) == 784
     assert raw[:8] == MODEL_MAGIC
     assert int.from_bytes(raw[8:12], "little") == 1
     assert int.from_bytes(raw[12:16], "little") == 624
-    payload = np.frombuffer(raw[640:768], dtype="<f8")
-    npt.assert_array_equal(payload[:9], [0.25, 1.0, 1.0, 0.25, 1.0, 4 / 17,
-                                         16 / 17, 0.25, 1.0])
-    npt.assert_allclose(payload[9:13], [0.2590, -1.4548, 0.4748, 0.7935],
+    assert b'"anchors_shape": [2, 0]' in raw[16:640]
+    payload = np.frombuffer(raw[640:752], dtype="<f8")
+    npt.assert_array_equal(payload[:7], [0.25, 1.0, 1.0, 4 / 17, 16 / 17,
+                                         0.25, 1.0])
+    npt.assert_allclose(payload[7:11], [0.2590, -1.4548, 0.4748, 0.7935],
                         atol=5e-5)
-    npt.assert_array_equal(payload[13:], [0.5, -0.25, 2.0])
-    assert raw[768:776] == bytes.fromhex("4C4F6B6C64B35AD5")
-    assert raw[768:] == hashlib.sha256(raw[:768]).digest()
+    npt.assert_array_equal(payload[11:], [0.5, -0.25, 2.0])
+    assert raw[752:760] == bytes.fromhex("567F349E9391C207")
+    assert raw[752:] == hashlib.sha256(raw[:752]).digest()
 
 
 def test_container_round_trip_does_not_copy_the_payload(tmp_path):
