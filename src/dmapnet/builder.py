@@ -4,8 +4,9 @@ Each unit's gram over the anchor set is eigendecomposed; the projection
 ``U = V * diag(1/sqrt(lam))`` turns similarity vectors against the anchors
 into coordinates whose inner products reproduce the unit's kernel on the
 anchor set, up to the discarded eigenvalue mass.  Construction walks the
-layers bottom-up: maps of one layer feed, concatenated and weighted, the
-gram of the next.
+layers bottom-up: each unit keeps its map of the anchor samples as its
+anchors, and the gram of an upper unit is the weighted sum, over the lower
+units, of those maps' inner products, then activated.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dkn import DknArchitecture, EXP, IDENTITY, activation_apply, dkn_forward_grams
+from .dkn import (DknArchitecture, EXP, IDENTITY, activation_apply, combine,
+                  dkn_forward_grams)
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
 from .kernels import GramMatrix, gram_matrix
-from .model import DmnModel, DmnUnit, concat_with_weights, forward_batch
+from .model import DmnModel, DmnUnit, forward_batch
 
 # exp overflows float64 a little above this argument
 EXP_ARG_LIMIT = 700.0
@@ -80,6 +82,11 @@ class EigenFactor:
         """The map projection ``V * diag(1/sqrt(lam))``."""
         return self.vectors / np.sqrt(self.values)[None, :]
 
+    def anchor_map(self) -> np.ndarray:
+        """The map of the anchor samples, ``V * diag(sqrt(lam))``: the gram
+        times the projection, without the product's rounding."""
+        return self.vectors * np.sqrt(self.values)[None, :]
+
 
 def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFactor:
     """Eigendecompose a symmetric gram, discarding the unusable spectrum.
@@ -96,13 +103,13 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
         raise InputError("eigen_projection expects a square matrix")
     if not np.isfinite(values).all():
         raise InputError("gram contains non-finite entries")
-    asym = float(np.max(np.abs(values - values.T))) if values.size else 0.0
+    asym = _max_asymmetry(values)
     if asym > 1e-8:
         raise InputError(f"gram must be symmetric; max asymmetry {asym:.3e}")
     if not clip_ratio >= 0:
         raise ConfigError("clip_ratio must be >= 0")
-    sym = (values + values.T) / 2.0
-    lam, vec = np.linalg.eigh(sym)
+    # eigh reads only the lower triangle
+    lam, vec = np.linalg.eigh(values)
     lam_max = float(lam[-1])
     if not lam_max > 0:
         raise DegenerateGramError(
@@ -121,38 +128,40 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
         discarded_max_abs=float(np.max(np.abs(dropped))) if dropped.size else 0.0,
         discarded_abs_sum=float(np.sum(np.abs(dropped))) if dropped.size else 0.0,
     )
-    kept_lam = lam[keep]
-    kept_vec = vec[:, keep]
-    order = np.argsort(-kept_lam, kind="stable")
-    return EigenFactor(vectors=kept_vec[:, order], values=kept_lam[order],
+    kept = np.nonzero(keep)[0]
+    kept = kept[np.argsort(-lam[kept], kind="stable")]
+    return EigenFactor(vectors=vec[:, kept], values=lam[kept],
                        clip_report=report)
 
 
+def _max_asymmetry(values) -> float:
+    """Largest ``|values - values.T|``, 256 rows at a time."""
+    asym = 0.0
+    for i in range(0, values.shape[0], 256):
+        rows = values[i:i + 256]
+        asym = max(asym, float(np.max(np.abs(rows - values[:, i:i + 256].T))))
+    return asym
+
+
 def build_input_layer(specs, anchors: AnchorSet,
-                      clip_ratio: float = DEFAULT_CLIP_RATIO) -> tuple:
+                      clip_ratio: float = DEFAULT_CLIP_RATIO) -> list:
     """Explicit maps for each base kernel over the anchor set.
 
-    Returns ``(units, maps)``.  Each unit stores the projection from the
-    eigendecomposition of its gram and a zero-column anchor matrix; ``maps``
-    holds each unit's map of the anchor samples (gram times projection),
-    whose row inner products reproduce the gram.  Only the layer above
-    needs those maps, while it is built.
+    Each unit stores the projection from the eigendecomposition of its gram
+    and, as its anchors, its map of the anchor samples, whose row inner
+    products reproduce the gram up to the clipped spectrum.
     """
     units = []
-    maps = []
     for q, spec in enumerate(specs):
         K = gram_matrix(spec, anchors.samples).values
-        K = (K + K.T) / 2.0
         try:
             factor = eigen_projection(K, clip_ratio)
         except DegenerateGramError as err:
             raise BuildError(f"layer 1, unit {q + 1}: {err}") from err
-        U = factor.projection()
-        units.append(DmnUnit(activation=IDENTITY,
-                             anchors=np.zeros((anchors.count, 0)), projection=U,
-                             kernel=spec, clip_report=factor.clip_report))
-        maps.append(K @ U)
-    return units, maps
+        units.append(DmnUnit(activation=IDENTITY, anchors=factor.anchor_map(),
+                             projection=factor.projection(), kernel=spec,
+                             clip_report=factor.clip_report))
+    return units
 
 
 def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
@@ -170,19 +179,20 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
                 f"discarded {report.discarded} "
                 f"(max |eig| {report.discarded_max_abs:.3e})")
 
-    input_units, lower_outputs = build_input_layer(arch.input_kernels, anchors,
-                                                   clip_ratio)
+    input_units = build_input_layer(arch.input_kernels, anchors, clip_ratio)
     for q, unit in enumerate(input_units):
         emit(1, q + 1, unit.clip_report)
     unit_layers = [input_units]
     for li, layer_spec in enumerate(arch.layers):
         layer_no = li + 2
+        last = li == len(arch.layers) - 1
+        # a weighted sum of exactly symmetric grams stays exactly symmetric
+        pres = combine(layer_spec.weights,
+                       (unit.anchors @ unit.anchors.T for unit in unit_layers[-1]))
         units = []
-        outputs = []
         for p in range(layer_spec.width):
-            A = concat_with_weights(lower_outputs, layer_spec.weights[p])
-            pre = A @ A.T
-            pre = (pre + pre.T) / 2.0
+            pre = pres[p]
+            pres[p] = None  # the gram goes once its unit is built
             if layer_spec.activation == EXP and np.max(np.abs(pre)) > EXP_ARG_LIMIT:
                 raise NumericRangeError(
                     f"layer {layer_no}, unit {p + 1}: exp argument exceeds "
@@ -193,14 +203,12 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
                 factor = eigen_projection(G, clip_ratio)
             except DegenerateGramError as err:
                 raise BuildError(f"layer {layer_no}, unit {p + 1}: {err}") from err
-            U = factor.projection()
-            unit = DmnUnit(activation=layer_spec.activation, anchors=A,
-                           projection=U, clip_report=factor.clip_report)
+            maps = np.zeros((anchors.count, 0)) if last else factor.anchor_map()
+            units.append(DmnUnit(activation=layer_spec.activation, anchors=maps,
+                                 projection=factor.projection(),
+                                 clip_report=factor.clip_report))
             emit(layer_no, p + 1, factor.clip_report)
-            units.append(unit)
-            outputs.append(G @ U)
         unit_layers.append(units)
-        lower_outputs = outputs
     return DmnModel(layers=unit_layers, arch=_copy.deepcopy(arch),
                     anchor_samples=anchors.samples.copy(),
                     anchor_ids=anchors.ids)

@@ -15,10 +15,6 @@ from .model import ClassifierHead, DmnModel, forward_batch
 from .training import (GradientBundle, _objective_terms, backprop,
                        as_per_class_c, grad_output)
 
-# Boundary band inside which weight coordinates are skipped: the projection
-# onto the nonnegative orthant makes one-sided derivatives there.
-W_BOUNDARY = 1e-6
-
 # Coordinates pass when |analytic - numeric| <= max(tol * scale, FD_FLOOR);
 # the floor absorbs finite-difference rounding noise on dead coordinates.
 FD_FLOOR = 1e-7
@@ -37,8 +33,8 @@ def finite_difference_gradients(model: DmnModel, head: ClassifierHead,
     """Central-difference gradients for every trainable coordinate.
 
     The classifier normals stay fixed, matching what ``backprop`` measures.
-    Weight coordinates within ``W_BOUNDARY`` of zero come back as NaN so
-    callers can skip them.
+    The objective is linear in each mixing weight, so differences at and
+    across zero weights are as valid as anywhere else.
     """
     work = copy.deepcopy(model)
     C = as_per_class_c(head.trade_offs, data.num_classes)
@@ -52,36 +48,18 @@ def finite_difference_gradients(model: DmnModel, head: ClassifierHead,
         arr[idx] = old
         return (plus - minus) / (2.0 * step)
 
-    u_grads = []
-    anchor_grads = []
-    for l, units in enumerate(work.layers):
-        u_layer = []
-        a_layer = []
-        for unit in units:
-            gu = np.empty_like(unit.projection)
-            for idx in np.ndindex(unit.projection.shape):
-                gu[idx] = central(unit.projection, idx)
-            u_layer.append(gu)
-            if l == 0:
-                a_layer.append(None)
-            else:
-                ga = np.empty_like(unit.anchors)
-                for idx in np.ndindex(unit.anchors.shape):
-                    ga[idx] = central(unit.anchors, idx)
-                a_layer.append(ga)
-        u_grads.append(u_layer)
-        anchor_grads.append(a_layer)
-    weight_grads = []
-    for layer_spec in work.arch.layers:
-        gw = np.empty_like(layer_spec.weights)
-        for idx in np.ndindex(layer_spec.weights.shape):
-            if layer_spec.weights[idx] < W_BOUNDARY:
-                gw[idx] = np.nan
-                continue
-            gw[idx] = central(layer_spec.weights, idx)
-        weight_grads.append(gw)
-    return GradientBundle(u_grads=u_grads, anchor_grads=anchor_grads,
-                          weight_grads=weight_grads)
+    def differences(arr):
+        grad = np.empty_like(arr)
+        for idx in np.ndindex(arr.shape):
+            grad[idx] = central(arr, idx)
+        return grad
+
+    return GradientBundle(
+        u_grads=[[differences(unit.projection) for unit in units]
+                 for units in work.layers],
+        anchor_grads=[[differences(unit.anchors) for unit in units]
+                      for units in work.layers],
+        weight_grads=[differences(spec.weights) for spec in work.arch.layers])
 
 
 @dataclass
@@ -107,8 +85,6 @@ def gradient_check(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
     rows = []
 
     def compare(name, a, n):
-        if np.isnan(n):
-            return
         diff = abs(a - n)
         limit = max(tol * max(abs(a), abs(n)), FD_FLOOR)
         rows.append(GradCheckRow(name=name, analytic=float(a), numeric=float(n),
@@ -121,12 +97,11 @@ def gradient_check(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
             for idx in np.ndindex(ga.shape):
                 compare(f"U[layer {l + 1}][unit {p + 1}]{list(idx)}",
                         ga[idx], gn[idx])
-            if analytic.anchor_grads[l][p] is not None:
-                aa = analytic.anchor_grads[l][p]
-                an = numeric.anchor_grads[l][p]
-                for idx in np.ndindex(aa.shape):
-                    compare(f"A[layer {l + 1}][unit {p + 1}]{list(idx)}",
-                            aa[idx], an[idx])
+            aa = analytic.anchor_grads[l][p]
+            an = numeric.anchor_grads[l][p]
+            for idx in np.ndindex(aa.shape):
+                compare(f"A[layer {l + 1}][unit {p + 1}]{list(idx)}",
+                        aa[idx], an[idx])
     for li in range(len(model.arch.layers)):
         wa = analytic.weight_grads[li]
         wn = numeric.weight_grads[li]

@@ -216,12 +216,22 @@ def load_architecture(path, seed: int = 0) -> DknArchitecture:
     return DknArchitecture.from_json_dict(obj, seed=seed)
 
 
-def _combine_grams(weights_row, grams):
-    """Weighted sum of gram arrays, accumulated in ascending unit order."""
-    acc = weights_row[0] * grams[0]
-    for q in range(1, len(grams)):
-        acc = acc + weights_row[q] * grams[q]
-    return acc
+def combine(weights, terms) -> list:
+    """For every row ``p`` of ``weights``, ``sum_q weights[p, q] * terms[q]``,
+    accumulated in ascending ``q``.
+
+    ``terms`` is consumed one at a time, so a generator keeps only one term
+    alive.  Terms may be arrays (the sums are then fresh arrays, summed in
+    place) or scalars.
+    """
+    sums = None
+    for q, term in enumerate(terms):
+        if sums is None:
+            sums = [w * term for w in weights[:, q]]
+        else:
+            for p, w in enumerate(weights[:, q]):
+                sums[p] += w * term
+    return sums
 
 
 def dkn_forward_grams(arch: DknArchitecture, input_grams) -> list:
@@ -249,10 +259,8 @@ def dkn_forward_grams(arch: DknArchitecture, input_grams) -> list:
     layered = [normalized]
     values = [gm.values for gm in normalized]
     for layer in arch.layers:
-        new_values = []
-        for p in range(layer.width):
-            combined = _combine_grams(layer.weights[p], values)
-            new_values.append(activation_apply(layer.activation, combined))
+        new_values = [activation_apply(layer.activation, pre, out=pre)
+                      for pre in combine(layer.weights, values)]
         layered.append([GramMatrix(v, ids, ids) for v in new_values])
         values = new_values
     return layered
@@ -264,13 +272,8 @@ def dkn_pair(arch: DknArchitecture, x, y) -> float:
 
     kappa = [eval_kernel(spec, x, y) for spec in arch.input_kernels]
     for layer in arch.layers:
-        new = []
-        for p in range(layer.width):
-            acc = layer.weights[p, 0] * kappa[0]
-            for q in range(1, len(kappa)):
-                acc = acc + layer.weights[p, q] * kappa[q]
-            new.append(float(activation_apply(layer.activation, acc)))
-        kappa = new
+        kappa = [float(activation_apply(layer.activation, pre))
+                 for pre in combine(layer.weights, kappa)]
     return kappa[0]
 
 

@@ -25,7 +25,7 @@ class FormatError(InputError):
 
 
 class VersionError(FormatError):
-    """Model file written by an unknown, newer format version."""
+    """Model file in a format version this library does not support."""
 
 
 class GenerationError(InputError):

@@ -3,11 +3,13 @@ classifier heads, and a versioned binary container for trained models.
 
 A model holds one unit per network kernel unit.  Input units carry the base
 kernel and a projection; their map for a sample is the kernel-value vector
-against the anchor samples times the projection.  Units of later layers
-carry an anchor matrix whose rows live in the concatenated lower map space;
-their map is the activated inner products against those rows times the
-projection.  Inference therefore never touches any training set, only the
-fixed anchor matrices.
+against the anchor samples times the projection.  Every unit below the last
+layer also carries an anchor matrix, one row per anchor sample in its own
+map space.  A unit of a later layer maps a sample through its
+pre-activation ``sum_q w[q] * (phi_q @ M_q.T)``, the mixing-weighted inner
+products of each lower unit's map ``phi_q`` with that unit's anchors
+``M_q``, activated and times its projection.  Inference therefore never
+touches any training set, only the fixed anchor matrices.
 """
 
 from __future__ import annotations
@@ -20,26 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dkn import ACTIVATIONS, DknArchitecture, activation_apply
+from .dkn import ACTIVATIONS, DknArchitecture, activation_apply, combine
 from .errors import ConfigError, FormatError, InputError, NumericRangeError, VersionError
 from .fileio import atomic_write_bytes
 from .kernels import KernelSpec, gram_matrix
 
 MODEL_MAGIC = b"DMAPMDL\x00"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass
 class DmnUnit:
     """One map unit: anchors, projection and activation.
 
-    For input-layer units ``kernel`` is set, ``activation`` is identity and
-    ``anchors`` is an ``(anchor_count, 0)`` matrix: the unit's map of a sample
-    needs only its kernel values against the anchor samples.  Models saved
-    before the builder stopped keeping them may instead carry the unit's own
-    map of the anchor samples there, which nothing reads.  For later layers
-    ``anchors`` rows live in the concatenated lower map space and are free
-    parameters during training.
+    For input-layer units ``kernel`` is set and ``activation`` is identity.
+    Below the last layer ``anchors`` is the unit's anchor map, shaped
+    ``(anchor_count, width)``: built as the unit's map of the anchor
+    samples, it holds the rows every unit of the layer above takes inner
+    products with, and it is a free parameter during training.  Units of the
+    last layer feed only the head and hold ``(anchor_count, 0)`` anchors.
     """
 
     activation: str
@@ -88,31 +89,9 @@ class DmnModel:
         self.anchor_ids = tuple(self.anchor_ids)
         if len(self.anchor_ids) != self.anchor_samples.shape[0]:
             raise ConfigError("anchor ids must match the anchor sample count")
-        if len(self.layers) != self.arch.num_layers:
-            raise ConfigError("unit layers must match the architecture depth")
-        n = self.anchor_samples.shape[0]
-        lower_width = 0
-        for l, units in enumerate(self.layers):
-            expected = self.arch.widths[l]
-            if len(units) != expected:
-                raise ConfigError(
-                    f"layer {l + 1} has {len(units)} units, expected {expected}"
-                )
-            for p, unit in enumerate(units):
-                if unit.projection.shape[0] != n or unit.anchors.shape[0] != n:
-                    raise ConfigError(
-                        f"layer {l + 1}, unit {p + 1}: anchors and projection "
-                        f"must have one row per anchor sample ({n})"
-                    )
-                columns = unit.anchors.shape[1]
-                allowed = (0, unit.width) if l == 0 else (lower_width,)
-                if columns not in allowed:
-                    raise ConfigError(
-                        f"layer {l + 1}, unit {p + 1}: anchors have {columns} "
-                        f"columns, expected "
-                        + " or ".join(str(a) for a in allowed)
-                    )
-            lower_width = sum(unit.width for unit in units)
+        _check_shapes([[(unit.anchors.shape, unit.projection.shape)
+                        for unit in units] for units in self.layers],
+                      self.arch.widths, self.anchor_samples.shape[0])
 
     @property
     def anchor_count(self) -> int:
@@ -121,6 +100,33 @@ class DmnModel:
     @property
     def final_width(self) -> int:
         return self.layers[-1][0].width
+
+
+def _check_shapes(shapes, widths, n: int) -> None:
+    """Raise ConfigError unless ``shapes``, per layer and unit an
+    ``(anchors_shape, projection_shape)`` pair, fit layers of ``widths``
+    units over ``n`` anchor samples: one row per anchor sample everywhere,
+    anchor maps as wide as their unit's projection below the last layer
+    and no anchor columns in it."""
+    if len(shapes) != len(widths):
+        raise ConfigError("unit layers must match the architecture depth")
+    for l, units in enumerate(shapes):
+        if len(units) != widths[l]:
+            raise ConfigError(
+                f"layer {l + 1} has {len(units)} units, expected {widths[l]}"
+            )
+        for p, (anchors_shape, projection_shape) in enumerate(units):
+            if anchors_shape[0] != n or projection_shape[0] != n:
+                raise ConfigError(
+                    f"layer {l + 1}, unit {p + 1}: anchors and projection "
+                    f"must have one row per anchor sample ({n})"
+                )
+            expected = 0 if l == len(shapes) - 1 else projection_shape[1]
+            if anchors_shape[1] != expected:
+                raise ConfigError(
+                    f"layer {l + 1}, unit {p + 1}: anchors have "
+                    f"{anchors_shape[1]} columns, expected {expected}"
+                )
 
 
 @dataclass
@@ -164,8 +170,8 @@ class ClassifierHead:
 @dataclass
 class BatchTrace:
     """Forward intermediates for a batch: per layer, per unit, the
-    activated inner products against the anchors (samples x anchors; the
-    input layer's kernel rows) and the map output (samples x unit width)."""
+    activated pre-activation (samples x anchors; the input layer's kernel
+    rows) and the map output (samples x unit width)."""
 
     h: list
     out: list
@@ -227,48 +233,21 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
         h_layers.append(list(kernel_rows))
         out_layers.append(outs)
         for li, layer_spec in enumerate(model.arch.layers):
-            units = model.layers[li + 1]
-            weights = layer_spec.weights
-            new_outs = []
-            new_hs = []
-            for p, unit in enumerate(units):
-                # the concatenation is a temporary, freed once multiplied
-                hmat = concat_with_weights(outs, weights[p]) @ unit.anchors.T
+            lower = model.layers[li]
+            # one lower product alive at a time; the sums become the trace's h
+            hs = combine(layer_spec.weights,
+                         (phi @ unit.anchors.T for phi, unit in zip(outs, lower)))
+            outs = []
+            for p, (unit, hmat) in enumerate(zip(model.layers[li + 1], hs)):
                 _check_finite(hmat, li + 2, p + 1, "pre-activation")
-                hmat = activation_apply(unit.activation, hmat, out=hmat)
+                activation_apply(unit.activation, hmat, out=hmat)
                 phi = hmat @ unit.projection
                 _check_finite(phi, li + 2, p + 1, "map")
-                new_hs.append(hmat)
-                new_outs.append(phi)
-            h_layers.append(new_hs)
-            out_layers.append(new_outs)
-            outs = new_outs
+                outs.append(phi)
+            h_layers.append(hs)
+            out_layers.append(outs)
     trace = BatchTrace(h=h_layers, out=out_layers)
     return trace.final, trace
-
-
-def concat_with_weights(lower_maps, weights_row) -> np.ndarray:
-    """Concatenate lower maps scaled by the square roots of the weights.
-
-    Inner products of the concatenated rows equal the weighted sum of the
-    lower maps' inner products.  Zero weights keep their block (as zeros) so
-    widths never change.  Each scaled block is written straight into the
-    one result array."""
-    if len(lower_maps) != len(weights_row):
-        raise ConfigError(
-            f"{len(weights_row)} weights for {len(lower_maps)} lower maps"
-        )
-    if np.min(weights_row) < 0:
-        raise ConfigError("mixing weights must be nonnegative")
-    if len({m.shape[0] for m in lower_maps}) > 1:
-        raise InputError("lower maps must agree on the number of rows")
-    result = np.empty((lower_maps[0].shape[0],
-                       sum(m.shape[1] for m in lower_maps)))
-    at = 0
-    for w, m in zip(weights_row, lower_maps):
-        np.multiply(np.sqrt(w), m, out=result[:, at:at + m.shape[1]])
-        at += m.shape[1]
-    return result
 
 
 def score_batch(model: DmnModel, head: ClassifierHead, X, kernel_rows=None) -> np.ndarray:
@@ -416,7 +395,12 @@ class _PayloadReader:
             raise FormatError("model file truncated inside the matrix payload")
         arr = self.buf[self.offset:self.offset + nbytes].view("<f8")
         self.offset += nbytes
-        return arr.reshape(shape)
+        try:
+            return arr.reshape(shape)
+        except ValueError as err:  # an empty matrix with a huge dimension
+            raise FormatError(
+                f"model header gives a matrix shape too large to read: {shape}"
+            ) from err
 
 
 def load_model(path) -> tuple:
@@ -449,10 +433,10 @@ def load_model(path) -> tuple:
     pos += 4
     if version < 1:
         raise FormatError(f"model format version {version} does not exist")
-    if version > MODEL_VERSION:
+    if version != MODEL_VERSION:
         raise VersionError(
-            f"model format version {version} is newer than supported "
-            f"({MODEL_VERSION})"
+            f"model format version {version} is not supported; this library "
+            f"reads version {MODEL_VERSION} only"
         )
     header_len = int.from_bytes(body[pos:pos + 4], "little")
     pos += 4
@@ -471,14 +455,16 @@ def load_model(path) -> tuple:
         kernels = [KernelSpec.from_dict(k) for k in header["arch"]["input_kernels"]]
         layer_meta = [(_count(meta["width"], "layer width"), meta["activation"])
                       for meta in header["arch"]["layers"]]
+        # every input unit needs its base kernel
         unit_meta = [
             [(meta["activation"],
-              KernelSpec.from_dict(meta["kernel"]) if meta["kernel"] else None,
+              KernelSpec.from_dict(meta["kernel"])
+              if l == 0 or meta["kernel"] is not None else None,
               _shape(meta["anchors_shape"], "anchors_shape"),
               _shape(meta["projection_shape"], "projection_shape"),
               _clip_report_from_dict(meta["clip_report"]))
              for meta in metas]
-            for metas in header["units"]
+            for l, metas in enumerate(header["units"])
         ]
         head_meta = header["head"]
         classes = (None if head_meta is None
@@ -488,6 +474,13 @@ def load_model(path) -> tuple:
         raise FormatError(f"model header missing field: {err}") from err
     except (TypeError, ValueError) as err:
         raise FormatError(f"malformed model header: {err}") from err
+    try:
+        _check_shapes([[(anchors_shape, projection_shape)
+                        for _, _, anchors_shape, projection_shape, _ in metas]
+                       for metas in unit_meta],
+                      [len(kernels)] + [width for width, _ in layer_meta], n)
+    except ConfigError as err:
+        raise FormatError(f"inconsistent model header: {err}") from err
 
     reader = _PayloadReader(buf[start + pos:start + len(body)])
     anchor_samples = reader.take((n, d))

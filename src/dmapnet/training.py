@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .dkn import activation_prime
+from .dkn import activation_prime, combine
 from .errors import ConfigError, InputError, NumericRangeError, TrainingDivergedError
 from .metrics import f_measure
-from .model import (BatchTrace, ClassifierHead, DmnModel, concat_with_weights,
-                    forward_batch, input_kernel_rows)
+from .model import (BatchTrace, ClassifierHead, DmnModel, forward_batch,
+                    input_kernel_rows)
 
 CONVERGENCE_WINDOW = 10
 
@@ -77,11 +77,9 @@ def format_history(history) -> str:
 
 @dataclass
 class GradientBundle:
-    """Gradients shaped like the trainable parameters.
-
-    ``anchor_grads`` has None for the input layer, whose anchor matrices are
-    derived from the base kernels rather than free parameters.
-    """
+    """Gradients shaped like the trainable parameters, one array per unit
+    projection and anchor matrix (last-layer anchor gradients have zero
+    columns) and one per layer of mixing weights."""
 
     u_grads: list
     anchor_grads: list
@@ -228,53 +226,40 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> GradientBundle
             f"output gradients must have shape ({n}, {model.final_width}), "
             f"got {G.shape}"
         )
-    num_layers = len(model.layers)
-    d_out = [[np.zeros_like(batch.out[l][p]) for p in range(len(model.layers[l]))]
-             for l in range(num_layers)]
-    d_out[-1][0] = G
     u_grads = [[None] * len(units) for units in model.layers]
     anchor_grads = [[None] * len(units) for units in model.layers]
+    anchor_grads[-1] = [np.zeros_like(unit.anchors) for unit in model.layers[-1]]
     weight_grads = [np.zeros_like(layer.weights) for layer in model.arch.layers]
 
-    for li in range(len(model.arch.layers) - 1, -1, -1):
-        layer_spec = model.arch.layers[li]
-        l = li + 1
-        lower_outs = batch.out[l - 1]
-        lower_widths = [o.shape[1] for o in lower_outs]
-        offsets = np.concatenate(([0], np.cumsum(lower_widths)))
+    d_out = [G] + [np.zeros_like(out) for out in batch.out[-1][1:]]
+    for l in range(len(model.layers) - 1, 0, -1):
+        ds = []
         for p, unit in enumerate(model.layers[l]):
-            D = d_out[l][p]
             h = batch.h[l][p]
-            u_grads[l][p] = h.T @ D
-            dh = D @ unit.projection.T
-            ds = activation_prime(unit.activation, h) * dh
-            weights_row = layer_spec.weights[p]
-            cmat = concat_with_weights(lower_outs, weights_row)
-            anchor_grads[l][p] = ds.T @ cmat
-            dc = ds @ unit.anchors
-            for q in range(len(lower_outs)):
-                block = dc[:, offsets[q]:offsets[q + 1]]
-                w = weights_row[q]
-                if w > 0:
-                    root = np.sqrt(w)
-                    d_out[l - 1][q] += root * block
-                    weight_grads[li][p, q] = float(
-                        np.sum(block * lower_outs[q]) / (2.0 * root)
-                    )
-                else:
-                    # at the clip boundary the subgradient is taken as zero
-                    weight_grads[li][p, q] = 0.0
-    for q, unit in enumerate(model.layers[0]):
-        Z = batch.h[0][q]
-        u_grads[0][q] = Z.T @ d_out[0][q]
+            u_grads[l][p] = h.T @ d_out[p]
+            ds.append(activation_prime(unit.activation, h)
+                      * (d_out[p] @ unit.projection.T))
+        # pre_p = sum_q w[p, q] * phi_q @ M_q.T, so lower unit q sees
+        # sum_p w[p, q] * ds_p through its map and its anchors alike
+        d_pre = combine(model.arch.layers[l - 1].weights.T, ds)
+        d_out = []
+        for q, unit in enumerate(model.layers[l - 1]):
+            phi = batch.out[l - 1][q]
+            S = phi @ unit.anchors.T
+            for p, dsp in enumerate(ds):
+                weight_grads[l - 1][p, q] = float(np.vdot(dsp, S))
+            anchor_grads[l - 1][q] = d_pre[q].T @ phi
+            d_out.append(d_pre[q] @ unit.anchors)
+    for q in range(len(model.layers[0])):
+        u_grads[0][q] = batch.h[0][q].T @ d_out[q]
 
-    for l in range(num_layers):
-        for p in range(len(model.layers[l])):
+    for l, units in enumerate(model.layers):
+        for p in range(len(units)):
             if not np.isfinite(u_grads[l][p]).all():
                 raise NumericRangeError(
                     f"non-finite projection gradient at layer {l + 1}, unit {p + 1}"
                 )
-            if anchor_grads[l][p] is not None and not np.isfinite(anchor_grads[l][p]).all():
+            if not np.isfinite(anchor_grads[l][p]).all():
                 raise NumericRangeError(
                     f"non-finite anchor gradient at layer {l + 1}, unit {p + 1}"
                 )
@@ -293,8 +278,7 @@ def apply_gradients(model: DmnModel, bundle: GradientBundle, learning_rate: floa
     for l, units in enumerate(model.layers):
         for p, unit in enumerate(units):
             unit.projection = unit.projection - eta * bundle.u_grads[l][p]
-            if bundle.anchor_grads[l][p] is not None:
-                unit.anchors = unit.anchors - eta * bundle.anchor_grads[l][p]
+            unit.anchors = unit.anchors - eta * bundle.anchor_grads[l][p]
     for li, layer_spec in enumerate(model.arch.layers):
         layer_spec.weights = np.maximum(
             0.0, layer_spec.weights - eta * bundle.weight_grads[li]

@@ -1,5 +1,7 @@
 """Map construction: eigendecomposition, clipping, layerwise assembly."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,6 @@ from dmapnet import (AnchorSet, BuildError, ConfigError, DegenerateGramError,
                      NumericRangeError, build_dmn, build_input_layer,
                      default_architecture, default_input_kernels,
                      eigen_projection, gram_matrix, reconstruction_errors)
-from dmapnet.model import concat_with_weights
 
 
 def test_eigen_projection_hand_case():
@@ -72,24 +73,19 @@ def test_eigen_projection_descending_and_reconstructive():
         assert err <= 1e-8
 
 
-def test_concat_maps_weighting():
-    # the builder stacks lower-unit maps with concat_with_weights
-    a = np.ones((3, 2))
-    b = 2.0 * np.ones((3, 1))
-    out = concat_with_weights([a, b], np.array([4.0, 0.25]))
-    npt.assert_allclose(out[:, :2], 2.0 * np.ones((3, 2)))
-    npt.assert_allclose(out[:, 2:], 1.0 * np.ones((3, 1)))
-    # inner products of the concatenation equal the weighted sum of the
-    # lower inner products
-    lhs = out @ out.T
-    rhs = 4.0 * (a @ a.T) + 0.25 * (b @ b.T)
-    npt.assert_allclose(lhs, rhs, atol=1e-12)
-    with pytest.raises(ConfigError):
-        concat_with_weights([a, b], np.array([1.0, -0.5]))
-    with pytest.raises(ConfigError):
-        concat_with_weights([a, b], np.array([1.0]))
-    with pytest.raises(InputError):
-        concat_with_weights([a, np.ones((4, 1))], np.array([1.0, 1.0]))
+def test_eigen_projection_makes_no_gram_sized_copies():
+    # eigh's own copy of the gram and its eigenvectors are the only
+    # gram-sized arrays; the symmetry check runs one block of rows at a time
+    rng = np.random.default_rng(22)
+    K = gram_matrix(KernelSpec("rbf", gamma=0.5), rng.random((1000, 10))).values
+    tracemalloc.start()
+    try:
+        factor = eigen_projection(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factor.values.size > 0
+    assert peak < 2.5 * K.nbytes
 
 
 def test_anchor_set_validation():
@@ -109,15 +105,15 @@ def test_input_layer_reproduces_base_grams():
     rng = np.random.default_rng(30)
     anchors = AnchorSet(samples=rng.uniform(0.0, 1.0, size=(12, 4)))
     specs = default_input_kernels(gamma=0.6)
-    units, maps = build_input_layer(specs, anchors)
-    assert len(units) == len(maps) == len(specs)
-    for spec, unit, phi in zip(specs, units, maps):
+    units = build_input_layer(specs, anchors)
+    assert len(units) == len(specs)
+    for spec, unit in zip(specs, units):
         K = gram_matrix(spec, anchors.samples).values
-        # phi is the unit's own map of the anchor samples; the unit keeps
-        # no copy of it
+        # the unit's anchors are its map of the anchor samples
+        phi = unit.anchors
         err = np.linalg.norm(phi @ phi.T - K, 2) / np.linalg.norm(K, 2)
         assert err <= 1e-8
-        assert unit.anchors.shape == (anchors.count, 0)
+        assert unit.anchors.shape == (anchors.count, unit.width)
         assert unit.kernel == spec
         assert unit.activation == "identity"
 

@@ -6,7 +6,6 @@ import pytest
 import helpers
 from dmapnet import (TrainConfig, TrainingDivergedError, gradient_check,
                      train_with_guard)
-from dmapnet.checks import W_BOUNDARY
 
 
 def test_gradient_check_passes_on_toy_problem():
@@ -20,28 +19,24 @@ def test_gradient_check_passes_on_toy_problem():
         assert np.isfinite(r.analytic) and np.isfinite(r.numeric)
 
 
-def test_gradient_check_skips_clip_boundary():
-    model, head, data = helpers.toy_problem(seed=61)
-    weights = model.arch.layers[0].weights.copy()
-    weights[0, 0] = W_BOUNDARY / 10.0
-    model.arch.layers[0].weights = weights
-    _, rows = gradient_check(model, head, data)
-    skipped = "w[layer 2][0, 0]"
-    assert all(r.name != skipped for r in rows)
-
-
 def test_gradient_check_covers_every_coordinate():
+    # the objective is linear in each mixing weight, so a zero weight is
+    # checked like any other coordinate
     model, head, data = helpers.toy_problem(seed=62)
-    _, rows = gradient_check(model, head, data)
-    expected = 0
-    for l, units in enumerate(model.layers):
-        for unit in units:
-            expected += unit.projection.size
-            if l > 0:
-                expected += unit.anchors.size
-    for layer in model.arch.layers:
-        expected += layer.weights.size  # none sit at the clip boundary
-    assert len(rows) == expected
+    with_zero = helpers.toy_problem(seed=62)[0]
+    with_zero.arch.layers[0].weights[0, 0] = 0.0
+    for m in (model, with_zero):
+        all_passed, rows = gradient_check(m, head, data)
+        assert all_passed
+        expected = 0
+        for units in m.layers:
+            for unit in units:
+                # last-layer anchors have no columns
+                expected += unit.projection.size + unit.anchors.size
+        for layer in m.arch.layers:
+            expected += layer.weights.size
+        assert len(rows) == expected
+    assert any(r.name == "w[layer 2][0, 0]" for r in rows)
 
 
 def test_guard_returns_monotone_log():

@@ -100,7 +100,7 @@ def _small_model(tmp_path):
 
 
 def test_train_halves_an_unstable_eta(tmp_path, capsys):
-    # at 1e-3 the objective goes uphill on this problem; the loop backs up
+    # at 2e-3 the objective goes uphill on this problem; the loop backs up
     # and halves the rate twice, and the written log is non-increasing
     data_path, model_path = _small_model(tmp_path)
     log_path = tmp_path / "log.tsv"
@@ -108,8 +108,8 @@ def test_train_halves_an_unstable_eta(tmp_path, capsys):
     assert main(["train", "--model", str(model_path), "--data", str(data_path),
                  "--out", str(tmp_path / "trained.bin"), "--log",
                  str(log_path), "--c", "1.0", "--max-iters", "10",
-                 "--eta", "1e-3"]) == 0
-    assert "accepted learning rate 0.00025" in capsys.readouterr().err
+                 "--eta", "2e-3"]) == 0
+    assert "accepted learning rate 0.0005\n" in capsys.readouterr().err
     objectives = [float(line.split("\t")[1])
                   for line in log_path.read_text().strip().split("\n")]
     assert len(objectives) == 10
@@ -134,6 +134,22 @@ def test_eval_malformed_model_header_is_exit_one(tmp_path, capsys):
     assert main(["eval", "--model", str(model_path), "--data", str(data_path),
                  "--out", str(tmp_path / "report.json")]) == 1
     assert "anchor_count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    helpers.setting("units", 0, 1, "kernel", value=None),
+    helpers.setting("units", 1, 0, "anchors_shape", value=[2**70, 0]),
+], ids=["input-unit-without-kernel", "shape-past-the-anchor-count"])
+def test_eval_header_escapes_are_exit_one(tmp_path, capsys, edit):
+    # neither edit may reach scoring or a reshape unchecked
+    model_path = helpers.saved_with_header(tmp_path / "model.bin", edit)
+    data_path = tmp_path / "data.tsv"
+    save_dataset(helpers.toy_dataset(), data_path)
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert "model header" in err
+    assert "Traceback" not in err
 
 
 def test_eval_inconsistent_model_shapes_is_exit_one(tmp_path, capsys):

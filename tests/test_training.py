@@ -107,33 +107,25 @@ def test_objective_decomposition():
 def test_backprop_matches_finite_differences():
     from dmapnet import finite_difference_gradients
 
+    # a zero mixing weight is an ordinary coordinate: the objective is
+    # linear in the weights, so differences across zero are exact
     model, head, data = helpers.toy_problem(seed=45)
-    final, trace = forward_batch(model, data.features)
-    bundle = backprop(model, trace, grad_output(head, final, data.labels))
-    numeric = finite_difference_gradients(model, head, data, step=1e-5)
-    for l in range(len(model.layers)):
-        for p in range(len(model.layers[l])):
-            npt.assert_allclose(bundle.u_grads[l][p], numeric.u_grads[l][p],
-                                rtol=1e-4, atol=1e-7)
-            if l > 0:
+    with_zero = helpers.toy_problem(seed=45)[0]
+    with_zero.arch.layers[0].weights[0, 0] = 0.0
+    for m in (model, with_zero):
+        final, trace = forward_batch(m, data.features)
+        bundle = backprop(m, trace, grad_output(head, final, data.labels))
+        numeric = finite_difference_gradients(m, head, data, step=1e-5)
+        for l in range(len(m.layers)):
+            for p in range(len(m.layers[l])):
+                npt.assert_allclose(bundle.u_grads[l][p], numeric.u_grads[l][p],
+                                    rtol=1e-4, atol=1e-7)
                 npt.assert_allclose(bundle.anchor_grads[l][p],
                                     numeric.anchor_grads[l][p],
                                     rtol=1e-4, atol=1e-7)
-    for li in range(len(model.arch.layers)):
-        a = bundle.weight_grads[li]
-        n = numeric.weight_grads[li]
-        mask = ~np.isnan(n)
-        npt.assert_allclose(a[mask], n[mask], rtol=1e-4, atol=1e-7)
-
-
-def test_backprop_zero_weight_subgradient():
-    model, head, data = helpers.toy_problem(seed=46)
-    model.arch.layers[0].weights = model.arch.layers[0].weights.copy()
-    model.arch.layers[0].weights[0, 0] = 0.0
-    final, trace = forward_batch(model, data.features)
-    bundle = backprop(model, trace, grad_output(head, final, data.labels))
-    assert bundle.weight_grads[0][0, 0] == 0.0
-    assert bundle.anchor_grads[0][0] is None  # input anchors are derived
+        for li in range(len(m.arch.layers)):
+            npt.assert_allclose(bundle.weight_grads[li], numeric.weight_grads[li],
+                                rtol=1e-4, atol=1e-7)
 
 
 def test_apply_gradients_clips_weights():
