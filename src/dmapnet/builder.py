@@ -19,7 +19,7 @@ from .dkn import (DknArchitecture, EXP, IDENTITY, activation_apply, combine,
                   dkn_forward_grams)
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
-from .kernels import GramMatrix, gram_matrix
+from .kernels import GramMatrix, gram_matrix, max_asymmetry
 from .model import DmnModel, DmnUnit, forward_batch
 
 # exp overflows float64 a little above this argument
@@ -103,7 +103,7 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
         raise InputError("eigen_projection expects a square matrix")
     if not np.isfinite(values).all():
         raise InputError("gram contains non-finite entries")
-    asym = _max_asymmetry(values)
+    asym = max_asymmetry(values)
     if asym > 1e-8:
         raise InputError(f"gram must be symmetric; max asymmetry {asym:.3e}")
     if not clip_ratio >= 0:
@@ -132,15 +132,6 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
     kept = kept[np.argsort(-lam[kept], kind="stable")]
     return EigenFactor(vectors=vec[:, kept], values=lam[kept],
                        clip_report=report)
-
-
-def _max_asymmetry(values) -> float:
-    """Largest ``|values - values.T|``, 256 rows at a time."""
-    asym = 0.0
-    for i in range(0, values.shape[0], 256):
-        rows = values[i:i + 256]
-        asym = max(asym, float(np.max(np.abs(rows - values[:, i:i + 256].T))))
-    return asym
 
 
 def build_input_layer(specs, anchors: AnchorSet,

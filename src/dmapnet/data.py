@@ -175,16 +175,20 @@ def load_dataset(path) -> LabeledDataset:
         raise FormatError(
             f"header promises {n} samples but the file holds {len(rows)}"
         )
-    ids = []
-    features = np.empty((n, d))
-    labels = np.empty((n, K))
+    fields = []
     for i, line in enumerate(rows):
-        line_no = i + 2
         toks = line.split("\t")
         if len(toks) != 1 + d + K:
             raise FormatError(
-                f"line {line_no}: expected {1 + d + K} fields, got {len(toks)}"
+                f"line {i + 2}: expected {1 + d + K} fields, got {len(toks)}"
             )
+        fields.append(toks)
+    # every row holds its fields, so the arrays are no larger than the text
+    ids = []
+    features = np.empty((n, d))
+    labels = np.empty((n, K))
+    for i, toks in enumerate(fields):
+        line_no = i + 2
         ids.append(toks[0])
         try:
             features[i] = [float(tok) for tok in toks[1:1 + d]]

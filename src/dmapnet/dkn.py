@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .kernels import GramMatrix, KernelSpec, _is_whole, gram_matrix
+from .kernels import (BLOCK_BYTES, GramMatrix, KernelSpec, _is_whole,
+                      block_rows, gram_matrix)
 
 TANH = "tanh"
 EXP = "exp"
@@ -168,7 +169,12 @@ class DknArchitecture:
             if "weights" in raw and raw["weights"] is not None:
                 weights = raw["weights"]
             else:
-                weights = random_mixing_weights(width, prev, rng)
+                try:
+                    weights = random_mixing_weights(width, prev, rng)
+                except MemoryError as err:
+                    raise ConfigError(
+                        f"layer {len(layers) + 2}: no memory to draw "
+                        f"{width} x {prev} mixing weights") from err
             layers.append(LayerSpec(width=width, activation=raw["activation"],
                                     weights=weights))
             prev = width
@@ -222,15 +228,28 @@ def combine(weights, terms) -> list:
 
     ``terms`` is consumed one at a time, so a generator keeps only one term
     alive.  Terms may be arrays (the sums are then fresh arrays, summed in
-    place) or scalars.
+    place) or scalars.  When the first term is a 2-D array larger than
+    ``BLOCK_BYTES``, each later term is added one row block at a time into
+    every sum, so all sums read that block from cache; smaller terms and
+    scalars are added whole.  Either way every entry sees the same
+    operations in the same order.
     """
     sums = None
+    step = None
     for q, term in enumerate(terms):
         if sums is None:
             sums = [w * term for w in weights[:, q]]
-        else:
+            if (isinstance(term, np.ndarray) and term.ndim == 2
+                    and term.nbytes > BLOCK_BYTES):
+                step = block_rows(term.shape[1])
+        elif step is None:
             for p, w in enumerate(weights[:, q]):
                 sums[p] += w * term
+        else:
+            for i in range(0, term.shape[0], step):
+                block = term[i:i + step]
+                for p, w in enumerate(weights[:, q]):
+                    sums[p][i:i + step] += w * block
     return sums
 
 

@@ -1,0 +1,63 @@
+"""The paired-benchmark summary of tools/bench_pairs.py, on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "samples_per_s", "better": "higher"},
+           {"name": "op_p50_ms", "better": "lower"}]
+
+
+def _pairs(base, change, name):
+    return [{"base": {name: b}, "change": {name: c}} for b, c in zip(base, change)]
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("1-4") == [1, 2, 3, 4]
+    assert bench_pairs.parse_seeds("3,7,1-2") == [3, 7, 1, 2]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("x")
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert bench_pairs.quartiles([4, 1, 3, 2, 5]) == [2, 3, 4]
+    assert bench_pairs.quartiles([1, 2, 3, 4]) == [1.75, 2.5, 3.25]
+    assert bench_pairs.quartiles([7]) == [7, 7, 7]
+
+
+def test_summary_counts_wins_in_the_better_direction():
+    base = [100, 110, 90, 105, 95, 100, 102, 98, 101, 99]
+    faster = [b + 20 for b in base]
+    faster[3] = base[3]  # a tie counts for neither side
+    pairs = [{"base": {"samples_per_s": b, "op_p50_ms": b},
+              "change": {"samples_per_s": c, "op_p50_ms": c}}
+             for b, c in zip(base, faster)]
+    summary = bench_pairs.summarize(pairs, METRICS)
+    up = summary["samples_per_s"]
+    assert up["wins"] == 9 and up["pairs"] == 10
+    assert up["base_quartiles"] == bench_pairs.quartiles(base)
+    assert up["change_quartiles"] == bench_pairs.quartiles(faster)
+    assert up["median_change_pct"] == pytest.approx(100 * (119.5 - 100) / 100)
+    assert up["gap_exceeds_base_iqr"]
+    # the same numbers are a loss where lower is better
+    down = summary["op_p50_ms"]
+    assert down["wins"] == 0
+    assert not down["gap_exceeds_base_iqr"]
+
+
+def test_summary_gap_must_exceed_the_base_iqr():
+    base = [90, 100, 110, 120, 80, 100, 95, 105, 115, 85]
+    # wins every pair, but the median moves by less than the base's IQR
+    change = [b + 1 for b in base]
+    up = bench_pairs.summarize(_pairs(base, change, "samples_per_s"),
+                               METRICS[:1])["samples_per_s"]
+    assert up["wins"] == 10
+    q1, _, q3 = up["base_quartiles"]
+    assert q3 - q1 > 1
+    assert not up["gap_exceeds_base_iqr"]

@@ -149,3 +149,49 @@ def test_label_token_variants(tmp_path):
     data = load_dataset(path)
     assert data.labels[0, 0] == 1.0
     assert data.labels[1, 0] == -1.0
+
+
+_FUZZ_TOKENS = ("", "x", "0", "-1", "+1", "1", "2", "0.5", "-0.5", "1e308",
+                "1e999", "nan", "inf", "-inf", "1e3", "0x10", "9" * 5000,
+                "s0", " 1", "1\t1", "1\n1", "-99999999999999",
+                "99999999999999", "2147483648", "123456789012", "4" * 12)
+
+
+def _mutated(text, rng):
+    """``text`` with one tab-separated token replaced, dropped or doubled."""
+    lines = text.split("\n")
+    i = int(rng.integers(0, len(lines) - 1))  # the last line is empty
+    toks = lines[i].split("\t")
+    j = int(rng.integers(0, len(toks)))
+    action = rng.integers(0, 4)
+    if action == 0:
+        del toks[j]
+    elif action == 1:
+        toks.insert(j, toks[j])
+    else:
+        toks[j] = _FUZZ_TOKENS[rng.integers(0, len(_FUZZ_TOKENS))]
+    lines[i] = "\t".join(toks)
+    return "\n".join(lines)
+
+
+def test_load_survives_seeded_token_fuzz(tmp_path):
+    # any one-token mutation of a saved dataset loads or raises a typed
+    # error; an oversized header field must not reach an allocation
+    path = tmp_path / "data.tsv"
+    save_dataset(generate_synthetic(SyntheticSpec(num_samples=4, num_features=3,
+                                                  num_classes=2, seed=5)), path)
+    text = path.read_text()
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for _ in range(1000):
+        mutated = _mutated(text, rng)
+        path.write_text(mutated)
+        try:
+            load_dataset(path)
+        except InputError as err:
+            outcomes.add(type(err).__name__)
+        except Exception as err:  # noqa: BLE001 - report the escaping input
+            pytest.fail(f"{type(err).__name__} escaped for {mutated[:200]!r}")
+        else:
+            outcomes.add("loaded")
+    assert {"loaded", "FormatError"} <= outcomes

@@ -11,7 +11,8 @@ from dmapnet import (ConfigError, DknArchitecture, InputError, KernelSpec,
                      LayerSpec, default_architecture, default_input_kernels,
                      dkn_classify, dkn_forward_grams, dkn_pair,
                      gram_matrix, load_architecture, random_mixing_weights)
-from dmapnet.dkn import activation_apply, activation_prime
+from dmapnet.dkn import activation_apply, activation_prime, combine
+from dmapnet.kernels import BLOCK_BYTES, block_rows
 
 
 def test_activations():
@@ -128,6 +129,13 @@ def test_architecture_file_rejects_malformed_fields(tmp_path):
                  "layers": [{"width": 1, "activation": "exp", "weights": "abc"}]}):
         with pytest.raises(ConfigError):
             DknArchitecture.from_json_dict(obj)
+    # drawn weights for an impossible width name the layer, not a raw
+    # MemoryError
+    path.write_text(json.dumps({"input_kernels": [{"kind": "linear"}],
+                                "layers": [{"width": 1000000000000,
+                                            "activation": "exp"}]}))
+    with pytest.raises(ConfigError, match="layer 2"):
+        load_architecture(path)
     path.write_bytes(b'{"input_kernels": "\xff"}')
     with pytest.raises(ConfigError):
         load_architecture(path)
@@ -146,6 +154,36 @@ def test_forward_grams_match_pair_evaluations():
     for i in range(6):
         for j in range(6):
             assert final[i, j] == dkn_pair(arch, X[i], X[j])
+    # 200 samples make grams above BLOCK_BYTES, so the kernel core and
+    # combine both work in row blocks; entries on either side of each
+    # block boundary still match the scalar recursion bitwise
+    X = rng.uniform(0.0, 0.6, size=(200, 3))
+    assert 200 * 200 * 8 > BLOCK_BYTES
+    final = dkn_forward_grams(
+        arch, [gram_matrix(spec, X) for spec in arch.input_kernels])[-1][0].values
+    step = block_rows(200)
+    edges = {0, step - 1, step, 199}
+    pairs = {(i, j) for i in edges for j in range(0, 200, 7)}
+    pairs |= {tuple(ij) for ij in rng.integers(0, 200, size=(100, 2))}
+    for i, j in sorted(pairs):
+        assert final[i, j] == dkn_pair(arch, X[i], X[j])
+
+
+def test_combine_blocked_matches_sequential_sum():
+    # 300 x 150 terms exceed BLOCK_BYTES, so later terms are added one row
+    # block at a time; every entry sees the same operations in order
+    rng = np.random.default_rng(9)
+    W = rng.random((3, 4))
+    terms = [rng.standard_normal((300, 150)) for _ in range(4)]
+    assert terms[0].nbytes > BLOCK_BYTES
+    sums = combine(W, (t for t in terms))
+    assert len(sums) == 3
+    for p in range(3):
+        ref = W[p, 0] * terms[0]
+        for q in range(1, 4):
+            ref = ref + W[p, q] * terms[q]
+        assert (sums[p] == ref).all()
+    assert len({id(s) for s in sums}) == 3
 
 
 def test_forward_grams_layer_ranges():

@@ -1,11 +1,14 @@
 """Base kernels: single evaluations, gram matrices and their agreement."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dmapnet import (ConfigError, GramMatrix, InputError, KernelSpec,
                      eval_kernel, gram_matrix)
+from dmapnet.kernels import block_rows
 
 ALL_SPECS = [
     KernelSpec("linear"),
@@ -66,6 +69,20 @@ def test_gram_matches_eval_kernel_bitwise():
         G = gram_matrix(spec, X, Y).values
         for i in range(X.shape[0]):
             for j in range(Y.shape[0]):
+                assert G[i, j] == eval_kernel(spec, X[i], Y[j])
+    # 70 rows against 1100 anchors run as 29-row blocks: check every row on
+    # either side of a block boundary
+    X = rng.uniform(0.0, 1.0, size=(70, 5))
+    Y = rng.uniform(0.0, 1.0, size=(1100, 5))
+    step = block_rows(Y.shape[0])
+    assert step < X.shape[0] // 2
+    edges = sorted({r for b in range(step, X.shape[0], step) for r in (b - 1, b)}
+                   | {0, X.shape[0] - 1})
+    cols = (0, 1, 548, 1098, 1099)
+    for spec in ALL_SPECS:
+        G = gram_matrix(spec, X, Y).values
+        for i in edges:
+            for j in cols:
                 assert G[i, j] == eval_kernel(spec, X[i], Y[j])
 
 
@@ -156,3 +173,31 @@ def test_gram_block_order_independent_of_split():
         parts = np.vstack([gram_matrix(spec, X[:4], Y).values,
                            gram_matrix(spec, X[4:], Y).values])
         assert (whole == parts).all()
+    # several cache-sized blocks against one row at a time
+    X = rng.uniform(0.0, 1.0, size=(70, 4))
+    Y = rng.uniform(0.0, 1.0, size=(1100, 4))
+    assert block_rows(Y.shape[0]) < X.shape[0] // 2
+    for spec in ALL_SPECS:
+        whole = gram_matrix(spec, X, Y).values
+        rows = np.vstack([gram_matrix(spec, x, Y).values for x in X])
+        assert (whole == rows).all()
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.5)],
+                         ids=["linear", "rbf"])
+def test_gram_matrix_makes_no_second_gram_sized_array(spec):
+    # the result is the only gram-sized array: the core fills it one row
+    # block at a time and the symmetry check reads it one block at a time
+    rng = np.random.default_rng(23)
+    X = rng.random((1000, 10))
+    Y = rng.random((1000, 10))
+    gram_bytes = 1000 * 1000 * 8
+    for other in (None, Y):
+        tracemalloc.start()
+        try:
+            gm = gram_matrix(spec, X, other)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gm.shape == (1000, 1000)
+        assert peak < 1.5 * gram_bytes
