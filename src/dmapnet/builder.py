@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dkn import (DknArchitecture, EXP, IDENTITY, activation_apply, combine,
+from .dkn import (DknArchitecture, EXP, activation_apply, combine,
                   dkn_forward_grams)
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
@@ -99,8 +99,8 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
         values = gram.values
     else:
         values = np.asarray(gram, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise InputError("eigen_projection expects a square matrix")
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
+        raise InputError("eigen_projection expects a non-empty square matrix")
     if not np.isfinite(values).all():
         raise InputError("gram contains non-finite entries")
     asym = max_asymmetry(values)
@@ -149,8 +149,8 @@ def build_input_layer(specs, anchors: AnchorSet,
             factor = eigen_projection(K, clip_ratio)
         except DegenerateGramError as err:
             raise BuildError(f"layer 1, unit {q + 1}: {err}") from err
-        units.append(DmnUnit(activation=IDENTITY, anchors=factor.anchor_map(),
-                             projection=factor.projection(), kernel=spec,
+        units.append(DmnUnit(anchors=factor.anchor_map(),
+                             projection=factor.projection(),
                              clip_report=factor.clip_report))
     return units
 
@@ -195,8 +195,7 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
             except DegenerateGramError as err:
                 raise BuildError(f"layer {layer_no}, unit {p + 1}: {err}") from err
             maps = np.zeros((anchors.count, 0)) if last else factor.anchor_map()
-            units.append(DmnUnit(activation=layer_spec.activation, anchors=maps,
-                                 projection=factor.projection(),
+            units.append(DmnUnit(anchors=maps, projection=factor.projection(),
                                  clip_report=factor.clip_report))
             emit(layer_no, p + 1, factor.clip_report)
         unit_layers.append(units)
@@ -214,10 +213,8 @@ def reconstruction_errors(model: DmnModel) -> list:
     """
     S = model.anchor_samples
     ids = model.anchor_ids
-    input_grams = [
-        gram_matrix(unit.kernel, S, row_ids=ids, col_ids=ids)
-        for unit in model.layers[0]
-    ]
+    input_grams = [gram_matrix(spec, S, row_ids=ids, col_ids=ids)
+                   for spec in model.arch.input_kernels]
     reference = dkn_forward_grams(model.arch, input_grams)
     _, trace = forward_batch(model, S)
     errors = []

@@ -12,19 +12,11 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import ClassifierHead, DmnModel, forward_batch
-from .training import (GradientBundle, _objective_terms, backprop,
-                       as_per_class_c, grad_output)
+from .training import GradientBundle, backprop, grad_output, objective
 
 # Coordinates pass when |analytic - numeric| <= max(tol * scale, FD_FLOOR);
 # the floor absorbs finite-difference rounding noise on dead coordinates.
 FD_FLOOR = 1e-7
-
-
-def _hinge_objective(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
-                     C: np.ndarray) -> float:
-    final, _ = forward_batch(model, data.features)
-    total, _, _ = _objective_terms(head.normals, final, data.labels, C)
-    return total
 
 
 def finite_difference_gradients(model: DmnModel, head: ClassifierHead,
@@ -37,14 +29,13 @@ def finite_difference_gradients(model: DmnModel, head: ClassifierHead,
     across zero weights are as valid as anywhere else.
     """
     work = copy.deepcopy(model)
-    C = as_per_class_c(head.trade_offs, data.num_classes)
 
     def central(arr, idx):
         old = arr[idx]
         arr[idx] = old + step
-        plus = _hinge_objective(work, head, data, C)
+        plus = objective(work, head, data)
         arr[idx] = old - step
-        minus = _hinge_objective(work, head, data, C)
+        minus = objective(work, head, data)
         arr[idx] = old
         return (plus - minus) / (2.0 * step)
 

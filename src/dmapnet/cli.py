@@ -154,7 +154,7 @@ def _resolve(args, command: str) -> dict:
         if value is None and name in config:
             try:
                 value = conv(config[name])
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:
                 raise ConfigError(f"config key {name!r}: {err}") from err
         if value is None:
             if default is _REQUIRED:

@@ -112,25 +112,31 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     """
     rng = np.random.default_rng(spec.seed)
     n, d, K = spec.num_samples, spec.num_features, spec.num_classes
-    centers = rng.uniform(_CENTER_LOW, _CENTER_HIGH, size=(K, spec.clusters, d))
     p_member = min(0.5, 1.5 / K)
-    for _ in range(_MAX_TRIES):
-        member = rng.random(size=(n, K)) < p_member
-        cluster_pick = rng.integers(0, spec.clusters, size=(n, K))
-        X = rng.normal(0.0, _JITTER, size=(n, d))
-        for k in range(K):
-            rows = np.nonzero(member[:, k])[0]
-            if rows.size:
-                X[rows] += centers[k, cluster_pick[rows, k]]
-        X = np.maximum(X, 0.0)
-        Y = np.where(member, 1.0, -1.0)
-        if spec.noise > 0.0:
-            flips = rng.random(size=(n, K)) < spec.noise
-            Y = np.where(flips, -Y, Y)
-        pos = (Y > 0).any(axis=0)
-        neg = (Y < 0).any(axis=0)
-        if pos.all() and neg.all():
-            return LabeledDataset(features=X, labels=Y)
+    try:
+        centers = rng.uniform(_CENTER_LOW, _CENTER_HIGH, size=(K, spec.clusters, d))
+        for _ in range(_MAX_TRIES):
+            member = rng.random(size=(n, K)) < p_member
+            cluster_pick = rng.integers(0, spec.clusters, size=(n, K))
+            X = rng.normal(0.0, _JITTER, size=(n, d))
+            for k in range(K):
+                rows = np.nonzero(member[:, k])[0]
+                if rows.size:
+                    X[rows] += centers[k, cluster_pick[rows, k]]
+            X = np.maximum(X, 0.0)
+            Y = np.where(member, 1.0, -1.0)
+            if spec.noise > 0.0:
+                flips = rng.random(size=(n, K)) < spec.noise
+                Y = np.where(flips, -Y, Y)
+            pos = (Y > 0).any(axis=0)
+            neg = (Y < 0).any(axis=0)
+            if pos.all() and neg.all():
+                return LabeledDataset(features=X, labels=Y)
+    except (MemoryError, ValueError) as err:
+        # numpy refuses arrays past the address space before allocating them
+        raise GenerationError(
+            f"cannot draw {n} samples of {d} features and {K} classes "
+            f"({spec.clusters} clusters each): {err}") from err
     raise GenerationError(
         f"could not draw a dataset with every class mixed after {_MAX_TRIES} tries"
     )

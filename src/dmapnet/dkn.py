@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .kernels import (BLOCK_BYTES, GramMatrix, KernelSpec, _is_whole,
-                      block_rows, gram_matrix)
+from .kernels import BLOCK_BYTES, GramMatrix, KernelSpec, _is_whole, block_rows
 
 TANH = "tanh"
 EXP = "exp"

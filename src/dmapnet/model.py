@@ -1,15 +1,18 @@
 """Explicit deep map models: per-unit anchors and projections, inference,
 classifier heads, and a versioned binary container for trained models.
 
-A model holds one unit per network kernel unit.  Input units carry the base
-kernel and a projection; their map for a sample is the kernel-value vector
-against the anchor samples times the projection.  Every unit below the last
-layer also carries an anchor matrix, one row per anchor sample in its own
-map space.  A unit of a later layer maps a sample through its
-pre-activation ``sum_q w[q] * (phi_q @ M_q.T)``, the mixing-weighted inner
-products of each lower unit's map ``phi_q`` with that unit's anchors
-``M_q``, activated and times its projection.  Inference therefore never
-touches any training set, only the fixed anchor matrices.
+A model holds one unit per network kernel unit, and the network
+architecture, which alone records each layer's activation and the input
+layer's base kernels.  An input unit's map for a sample is the
+kernel-value vector against the anchor samples times the unit's
+projection.  Every unit below the last layer also carries an anchor
+matrix, one row per anchor sample in its own map space.  A unit of a later
+layer maps a sample through its pre-activation
+``sum_q w[q] * (phi_q @ M_q.T)``, the mixing-weighted inner products of
+each lower unit's map ``phi_q`` with that unit's anchors ``M_q``,
+activated with its layer's activation and times its projection.
+Inference therefore never touches any training set, only the fixed anchor
+matrices.
 """
 
 from __future__ import annotations
@@ -22,36 +25,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dkn import ACTIVATIONS, DknArchitecture, activation_apply, combine
+from .dkn import DknArchitecture, activation_apply, combine
 from .errors import ConfigError, FormatError, InputError, NumericRangeError, VersionError
 from .fileio import atomic_write_bytes
 from .kernels import KernelSpec, gram_matrix
 
 MODEL_MAGIC = b"DMAPMDL\x00"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass
 class DmnUnit:
-    """One map unit: anchors, projection and activation.
+    """One map unit: its anchors, projection and clip report.
 
-    For input-layer units ``kernel`` is set and ``activation`` is identity.
-    Below the last layer ``anchors`` is the unit's anchor map, shaped
-    ``(anchor_count, width)``: built as the unit's map of the anchor
-    samples, it holds the rows every unit of the layer above takes inner
-    products with, and it is a free parameter during training.  Units of the
-    last layer feed only the head and hold ``(anchor_count, 0)`` anchors.
+    The projection is ``(anchor_count, width)``.  Below the last layer
+    ``anchors`` is the unit's anchor map, also ``(anchor_count, width)``:
+    built as the unit's map of the anchor samples, it holds the rows every
+    unit of the layer above takes inner products with, and it is a free
+    parameter during training.  Units of the last layer feed only the head
+    and hold ``(anchor_count, 0)`` anchors.  The activation and, for input
+    units, the base kernel belong to the unit's layer and are read from the
+    model's architecture.
     """
 
-    activation: str
     anchors: np.ndarray
     projection: np.ndarray
-    kernel: KernelSpec | None = None
     clip_report: object | None = None
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         self.anchors = np.asarray(self.anchors, dtype=np.float64)
         self.projection = np.asarray(self.projection, dtype=np.float64)
         if self.anchors.ndim != 2 or self.projection.ndim != 2:
@@ -70,9 +71,11 @@ class DmnUnit:
 class DmnModel:
     """A stack of unit layers plus the anchor samples they were built on.
 
-    ``layers[0]`` holds the input-kernel units.  The model owns a private
-    copy of the architecture; training updates the mixing weights inside
-    that copy without touching the caller's architecture.
+    ``layers[0]`` holds the input-kernel units, ``layers[l]`` the units of
+    ``arch.layers[l - 1]``.  The architecture is the one record of every
+    layer's width and activation and of the input units' base kernels.  The
+    model owns a private copy of it; training updates the mixing weights
+    inside that copy without touching the caller's architecture.
     """
 
     layers: list
@@ -89,9 +92,7 @@ class DmnModel:
         self.anchor_ids = tuple(self.anchor_ids)
         if len(self.anchor_ids) != self.anchor_samples.shape[0]:
             raise ConfigError("anchor ids must match the anchor sample count")
-        _check_shapes([[(unit.anchors.shape, unit.projection.shape)
-                        for unit in units] for units in self.layers],
-                      self.arch.widths, self.anchor_samples.shape[0])
+        _check_shapes(self)
 
     @property
     def anchor_count(self) -> int:
@@ -102,30 +103,30 @@ class DmnModel:
         return self.layers[-1][0].width
 
 
-def _check_shapes(shapes, widths, n: int) -> None:
-    """Raise ConfigError unless ``shapes``, per layer and unit an
-    ``(anchors_shape, projection_shape)`` pair, fit layers of ``widths``
-    units over ``n`` anchor samples: one row per anchor sample everywhere,
-    anchor maps as wide as their unit's projection below the last layer
-    and no anchor columns in it."""
-    if len(shapes) != len(widths):
+def _check_shapes(model: DmnModel) -> None:
+    """Raise ConfigError unless the unit layers fit the architecture's
+    widths over the model's anchor samples: one row per anchor sample
+    everywhere, anchor maps as wide as their unit's projection below the
+    last layer and no anchor columns in it."""
+    widths, n = model.arch.widths, model.anchor_count
+    if len(model.layers) != len(widths):
         raise ConfigError("unit layers must match the architecture depth")
-    for l, units in enumerate(shapes):
+    for l, units in enumerate(model.layers):
         if len(units) != widths[l]:
             raise ConfigError(
                 f"layer {l + 1} has {len(units)} units, expected {widths[l]}"
             )
-        for p, (anchors_shape, projection_shape) in enumerate(units):
-            if anchors_shape[0] != n or projection_shape[0] != n:
+        for p, unit in enumerate(units):
+            if unit.anchors.shape[0] != n or unit.projection.shape[0] != n:
                 raise ConfigError(
                     f"layer {l + 1}, unit {p + 1}: anchors and projection "
                     f"must have one row per anchor sample ({n})"
                 )
-            expected = 0 if l == len(shapes) - 1 else projection_shape[1]
-            if anchors_shape[1] != expected:
+            expected = 0 if l == len(widths) - 1 else unit.width
+            if unit.anchors.shape[1] != expected:
                 raise ConfigError(
                     f"layer {l + 1}, unit {p + 1}: anchors have "
-                    f"{anchors_shape[1]} columns, expected {expected}"
+                    f"{unit.anchors.shape[1]} columns, expected {expected}"
                 )
 
 
@@ -204,10 +205,8 @@ def input_kernel_rows(model: DmnModel, X) -> list:
             f"sample dimension {X.shape[1]} does not match anchors "
             f"({model.anchor_samples.shape[1]})"
         )
-    rows = []
-    for unit in model.layers[0]:
-        rows.append(gram_matrix(unit.kernel, X, model.anchor_samples).values)
-    return rows
+    return [gram_matrix(spec, X, model.anchor_samples).values
+            for spec in model.arch.input_kernels]
 
 
 def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
@@ -240,7 +239,7 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
             outs = []
             for p, (unit, hmat) in enumerate(zip(model.layers[li + 1], hs)):
                 _check_finite(hmat, li + 2, p + 1, "pre-activation")
-                activation_apply(unit.activation, hmat, out=hmat)
+                activation_apply(layer_spec.activation, hmat, out=hmat)
                 phi = hmat @ unit.projection
                 _check_finite(phi, li + 2, p + 1, "map")
                 outs.append(phi)
@@ -250,7 +249,7 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
     return trace.final, trace
 
 
-def score_batch(model: DmnModel, head: ClassifierHead, X, kernel_rows=None) -> np.ndarray:
+def score_batch(model: DmnModel, head: ClassifierHead, X) -> np.ndarray:
     """Scores for a batch of samples, one row per sample.
 
     The head must match a final layer of exactly one unit.
@@ -264,7 +263,7 @@ def score_batch(model: DmnModel, head: ClassifierHead, X, kernel_rows=None) -> n
             f"head width {head.normals.shape[1]} does not match the final map "
             f"width {model.final_width}"
         )
-    final, _ = forward_batch(model, X, kernel_rows=kernel_rows)
+    final, _ = forward_batch(model, X)
     return final @ head.normals.T
 
 
@@ -311,12 +310,6 @@ def _count(value, what: str) -> int:
     return value
 
 
-def _shape(value, what: str) -> tuple:
-    if not isinstance(value, list) or len(value) != 2:
-        raise FormatError(f"{what} must hold two entries, got {value!r}")
-    return tuple(_count(v, what) for v in value)
-
-
 def _model_matrices(model: DmnModel, head: ClassifierHead | None) -> list:
     mats = [model.anchor_samples]
     for layer in model.arch.layers:
@@ -336,8 +329,10 @@ def save_model(model: DmnModel, head: ClassifierHead | None, path) -> None:
 
     Layout: magic, u32 version, u32 header length, UTF-8 JSON header, then
     every matrix as little-endian float64 in row-major order, and a trailing
-    SHA-256 over all preceding bytes.
+    SHA-256 over all preceding bytes.  Raises ConfigError, naming the layer
+    and unit, when the unit shapes no longer fit the architecture.
     """
+    _check_shapes(model)
     header = {
         "format": "dmn-model",
         "anchor_count": int(model.anchor_count),
@@ -352,13 +347,8 @@ def save_model(model: DmnModel, head: ClassifierHead | None, path) -> None:
         },
         "units": [
             [
-                {
-                    "activation": unit.activation,
-                    "kernel": unit.kernel.to_dict() if unit.kernel else None,
-                    "anchors_shape": list(unit.anchors.shape),
-                    "projection_shape": list(unit.projection.shape),
-                    "clip_report": _clip_report_to_dict(unit.clip_report),
-                }
+                {"width": unit.width,
+                 "clip_report": _clip_report_to_dict(unit.clip_report)}
                 for unit in units
             ]
             for units in model.layers
@@ -455,17 +445,10 @@ def load_model(path) -> tuple:
         kernels = [KernelSpec.from_dict(k) for k in header["arch"]["input_kernels"]]
         layer_meta = [(_count(meta["width"], "layer width"), meta["activation"])
                       for meta in header["arch"]["layers"]]
-        # every input unit needs its base kernel
-        unit_meta = [
-            [(meta["activation"],
-              KernelSpec.from_dict(meta["kernel"])
-              if l == 0 or meta["kernel"] is not None else None,
-              _shape(meta["anchors_shape"], "anchors_shape"),
-              _shape(meta["projection_shape"], "projection_shape"),
-              _clip_report_from_dict(meta["clip_report"]))
-             for meta in metas]
-            for l, metas in enumerate(header["units"])
-        ]
+        unit_meta = [[(_count(meta["width"], "unit width"),
+                       _clip_report_from_dict(meta["clip_report"]))
+                      for meta in metas]
+                     for metas in header["units"]]
         head_meta = header["head"]
         classes = (None if head_meta is None
                    else _count(head_meta["classes"], "head classes"))
@@ -474,13 +457,11 @@ def load_model(path) -> tuple:
         raise FormatError(f"model header missing field: {err}") from err
     except (TypeError, ValueError) as err:
         raise FormatError(f"malformed model header: {err}") from err
-    try:
-        _check_shapes([[(anchors_shape, projection_shape)
-                        for _, _, anchors_shape, projection_shape, _ in metas]
-                       for metas in unit_meta],
-                      [len(kernels)] + [width for width, _ in layer_meta], n)
-    except ConfigError as err:
-        raise FormatError(f"inconsistent model header: {err}") from err
+    counts = [len(metas) for metas in unit_meta]
+    widths = [len(kernels)] + [width for width, _ in layer_meta]
+    if counts != widths:
+        raise FormatError(f"inconsistent model header: {counts} units per "
+                          f"layer, layer widths {widths}")
 
     reader = _PayloadReader(buf[start + pos:start + len(body)])
     anchor_samples = reader.take((n, d))
@@ -496,25 +477,22 @@ def load_model(path) -> tuple:
                                          weights=w))
             prev = width
         arch = DknArchitecture(input_kernels=kernels, layers=layers_spec)
-        for metas in unit_meta:
-            units = []
-            for activation, kern, anchors_shape, projection_shape, clip in metas:
-                anchors = reader.take(anchors_shape)
-                projection = reader.take(projection_shape)
-                units.append(DmnUnit(activation=activation, anchors=anchors,
-                                     projection=projection, kernel=kern,
-                                     clip_report=clip))
-            unit_layers.append(units)
+        # a unit's shapes follow from its width; the last layer has no anchors
+        for l, metas in enumerate(unit_meta):
+            last = l == len(unit_meta) - 1
+            unit_layers.append([
+                DmnUnit(anchors=reader.take((n, 0 if last else width)),
+                        projection=reader.take((n, width)), clip_report=clip)
+                for width, clip in metas])
         model = DmnModel(layers=unit_layers, arch=arch,
                          anchor_samples=anchor_samples, anchor_ids=anchor_ids)
+        head = None
+        if classes is not None:
+            normals = reader.take((classes, model.final_width))
+            trade_offs = reader.take((1, classes))[0]
+            head = ClassifierHead(normals=normals, trade_offs=trade_offs)
     except ConfigError as err:
         raise FormatError(f"inconsistent model file: {err}") from err
-
-    head = None
-    if classes is not None:
-        normals = reader.take((classes, model.final_width))
-        trade_offs = reader.take((1, classes))[0]
-        head = ClassifierHead(normals=normals, trade_offs=trade_offs)
 
     if reader.offset != len(reader.buf):
         raise FormatError("model file has trailing bytes after the payload")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,8 +132,9 @@ def _solve_class(F, y, c, w0, tol_scale: float = 1e-6, max_newton: int = 100):
     Stops when the gradient infinity norm falls at or below ``tol_scale``
     times max(1, gradient norm at zero).  The generalized Hessian
     ``I + 2c * F_A' F_A`` is positive definite, so every step is a descent
-    direction; a plain gradient loop backs the Newton phase up in case the
-    line search ever stalls.
+    direction.  Raises NumericRangeError when the line search stalls or the
+    iterations run out short of the tolerance, as they do on maps blown up
+    by an oversized learning rate; the training guard rejects that step.
     """
     n, d = F.shape
     w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
@@ -163,14 +164,6 @@ def _solve_class(F, y, c, w0, tol_scale: float = 1e-6, max_newton: int = 100):
             break
     if np.max(np.abs(grad)) <= tol:
         return w
-    # fallback: fixed-step gradient descent with step 1 / Lipschitz
-    lip = 1.0 + 2.0 * c * float(np.linalg.norm(F, 2)) ** 2
-    step = 1.0 / lip
-    for _ in range(200_000):
-        w = w - step * grad
-        grad, active, _ = _class_gradient(F, y, c, w)
-        if np.max(np.abs(grad)) <= tol:
-            return w
     raise NumericRangeError("squared-hinge solve failed to reach tolerance")
 
 
@@ -202,13 +195,12 @@ def objective(model: DmnModel, head: ClassifierHead, data: LabeledDataset) -> fl
     return total
 
 
-def grad_output(head: ClassifierHead, final_maps, labels, c_policy=None) -> np.ndarray:
+def grad_output(head: ClassifierHead, final_maps, labels) -> np.ndarray:
     """Gradient of the hinge term with respect to each sample's final map."""
     F, Y = _check_features_labels(final_maps, labels)
     if head.normals.shape[1] != F.shape[1]:
         raise InputError("head width does not match the final map width")
-    C = as_per_class_c(head.trade_offs if c_policy is None else c_policy,
-                       Y.shape[1])
+    C = as_per_class_c(head.trade_offs, Y.shape[1])
     margins = np.maximum(0.0, 1.0 - Y * (F @ head.normals.T))
     return -2.0 * ((C[None, :] * Y * margins) @ head.normals)
 
@@ -233,11 +225,12 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> GradientBundle
 
     d_out = [G] + [np.zeros_like(out) for out in batch.out[-1][1:]]
     for l in range(len(model.layers) - 1, 0, -1):
+        activation = model.arch.layers[l - 1].activation
         ds = []
         for p, unit in enumerate(model.layers[l]):
             h = batch.h[l][p]
             u_grads[l][p] = h.T @ d_out[p]
-            ds.append(activation_prime(unit.activation, h)
+            ds.append(activation_prime(activation, h)
                       * (d_out[p] @ unit.projection.T))
         # pre_p = sum_q w[p, q] * phi_q @ M_q.T, so lower unit q sees
         # sum_p w[p, q] * ds_p through its map and its anchors alike
@@ -370,7 +363,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
             consec = consec + 1 if rel < cfg.convergence_tol else 0
         done = consec >= CONVERGENCE_WINDOW or len(history) == cfg.max_iters
         if not done:
-            bundle = backprop(model, trace, grad_output(head, final, Y, C))
+            bundle = backprop(model, trace, grad_output(head, final, Y))
             accepted = _parameter_refs(model)
             apply_gradients(model, bundle, eta)
         now = time.perf_counter()

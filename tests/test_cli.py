@@ -136,11 +136,12 @@ def test_eval_malformed_model_header_is_exit_one(tmp_path, capsys):
     assert "anchor_count" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", [
-    helpers.setting("units", 0, 1, "kernel", value=None),
-    helpers.setting("units", 1, 0, "anchors_shape", value=[2**70, 0]),
-], ids=["input-unit-without-kernel", "shape-past-the-anchor-count"])
-def test_eval_header_escapes_are_exit_one(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, message", [
+    (helpers.setting("arch", "input_kernels", 1, value=None), "model header"),
+    (helpers.setting("units", 1, 0, "width", value=2**70),
+     "truncated inside the matrix payload"),
+], ids=["input-unit-without-kernel", "width-past-the-payload"])
+def test_eval_header_escapes_are_exit_one(tmp_path, capsys, edit, message):
     # neither edit may reach scoring or a reshape unchecked
     model_path = helpers.saved_with_header(tmp_path / "model.bin", edit)
     data_path = tmp_path / "data.tsv"
@@ -148,21 +149,22 @@ def test_eval_header_escapes_are_exit_one(tmp_path, capsys, edit):
     assert main(["eval", "--model", str(model_path), "--data", str(data_path),
                  "--out", str(tmp_path / "report.json")]) == 1
     err = capsys.readouterr().err
-    assert "model header" in err
+    assert message in err
     assert "Traceback" not in err
 
 
 def test_eval_inconsistent_model_shapes_is_exit_one(tmp_path, capsys):
-    # a checksum-valid file whose layer-2 unit 1 anchors lost a column
-    model_path = helpers.saved_with_model_edit(
-        tmp_path / "model.bin",
-        helpers.replacing(1, 0, "anchors", lambda mat: mat[:, :-1]))
+    # a checksum-valid file whose layer-2 unit 1 claims one column less, so
+    # every later matrix is read from the wrong offset
+    def narrower(header):
+        header["units"][1][0]["width"] -= 1
+    model_path = helpers.saved_with_header(tmp_path / "model.bin", narrower)
     data_path = tmp_path / "data.tsv"
     save_dataset(helpers.toy_dataset(), data_path)
     assert main(["eval", "--model", str(model_path), "--data", str(data_path),
                  "--out", str(tmp_path / "report.json")]) == 1
     err = capsys.readouterr().err
-    assert "layer 2, unit 1" in err
+    assert err.startswith("error: inconsistent model file")
     assert "Traceback" not in err
 
 
@@ -238,6 +240,25 @@ def test_gen_data_invalid_noise(tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path / "x.tsv"),
                  "--noise", "0.9"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config", [
+    '{"n": Infinity}',
+    '{"n": 1180591620717411303424}',
+    '{"k": 1000000000000000}',
+], ids=["infinite-n", "n-past-numpy-dimensions", "k-past-the-address-space"])
+def test_gen_data_unrepresentable_sizes_are_exit_one(tmp_path, capsys, config):
+    # each request lies beyond the address space, so numpy refuses it
+    # before allocating anything
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config)
+    out = tmp_path / "x.tsv"
+    assert main(["gen-data", "--config", str(config_path), "--out",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_build_more_anchors_than_samples(tmp_path, capsys):

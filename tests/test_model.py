@@ -1,6 +1,8 @@
 """Explicit map models: forward passes, classification, binary container."""
 
+import dataclasses
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,9 @@ import pytest
 
 import helpers
 from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
-                     DmnModel, FormatError, InputError, KernelSpec, LayerSpec,
-                     NumericError, NumericRangeError, VersionError, build_dmn,
-                     classify, default_architecture,
+                     DmnModel, DmnUnit, FormatError, InputError, KernelSpec,
+                     LayerSpec, NumericError, NumericRangeError, VersionError,
+                     build_dmn, classify, default_architecture,
                      default_input_kernels, forward_batch, input_kernel_rows,
                      load_model, random_mixing_weights, save_model,
                      score_batch)
@@ -159,11 +161,20 @@ def test_save_load_round_trip_bitwise(tmp_path):
             assert (loaded.layers[l][p].anchors == model.layers[l][p].anchors).all()
             assert (loaded.layers[l][p].projection
                     == model.layers[l][p].projection).all()
-            assert loaded.layers[l][p].activation == model.layers[l][p].activation
-            assert loaded.layers[l][p].kernel == model.layers[l][p].kernel
             assert loaded.layers[l][p].clip_report == model.layers[l][p].clip_report
+    assert loaded.arch.input_kernels == model.arch.input_kernels
     for a, b in zip(loaded.arch.layers, model.arch.layers):
+        assert a.activation == b.activation
         assert (a.weights == b.weights).all()
+    # activations, kernels and shapes live in the architecture only
+    assert [f.name for f in dataclasses.fields(DmnUnit)] == [
+        "anchors", "projection", "clip_report"]
+    raw = path.read_bytes()
+    at = len(MODEL_MAGIC) + 4
+    size = int.from_bytes(raw[at:at + 4], "little")
+    header = json.loads(raw[at + 4:at + 4 + size])
+    assert {frozenset(unit) for units in header["units"] for unit in units} == {
+        frozenset({"width", "clip_report"})}
     assert (loaded_head.normals == head.normals).all()
     assert (loaded_head.trade_offs == head.trade_offs).all()
     for mat in _model_matrices(loaded, loaded_head):
@@ -243,8 +254,9 @@ def test_load_rejects_header_length_past_the_body(tmp_path):
 
 def test_load_rejects_newer_version(tmp_path):
     # version 1 files stored per-unit anchors in the concatenated lower map
-    # space; no reader for them is kept
-    for version in (MODEL_VERSION + 1, 1):
+    # space, version 2 files a second copy of every unit's activation, kernel
+    # and shapes; no reader for either is kept
+    for version in (MODEL_VERSION + 1, 1, 2):
         path = _saved_with_u32(tmp_path, 19, len(MODEL_MAGIC), version)
         with pytest.raises(VersionError, match=f"version {version} "):
             load_model(path)
@@ -257,28 +269,29 @@ def test_load_rejects_version_zero(tmp_path):
 
 
 def _huge_head_on_a_zero_width_map(header):
-    # shapes that pass every count check but describe an empty matrix with
-    # a dimension numpy cannot hold
-    header["units"][-1][0]["projection_shape"] = [6, 0]
+    # counts that pass every check but describe an empty matrix with a
+    # dimension numpy cannot hold
+    header["units"][-1][0]["width"] = 0
     header["head"]["classes"] = 2**70
 
 
-@pytest.mark.parametrize("edit", [
-    helpers.setting("anchor_count", value="abc"),
-    helpers.setting("arch", "layers", 0, "width", value="x"),
-    helpers.setting("units", value=5),
-    helpers.setting("units", 1, 0, "anchors_shape", value=[-6, -9]),
-    helpers.setting("units", 1, 0, "projection_shape", value=[6, 3, 1]),
-    helpers.setting("head", "classes", value="two"),
-    helpers.setting("units", 0, 1, "kernel", value=None),
-    helpers.setting("units", 1, 0, "anchors_shape", value=[2**70, 0]),
-    _huge_head_on_a_zero_width_map,
+@pytest.mark.parametrize("edit, message", [
+    (helpers.setting("anchor_count", value="abc"), "model header"),
+    (helpers.setting("arch", "layers", 0, "width", value="x"), "model header"),
+    (helpers.setting("units", value=5), "model header"),
+    (helpers.setting("units", 1, 0, "width", value=-1), "model header"),
+    (helpers.setting("units", 1, 0, "width", value="x"), "model header"),
+    (helpers.setting("head", "classes", value="two"), "model header"),
+    (helpers.setting("arch", "input_kernels", 1, value=None), "model header"),
+    (helpers.setting("units", 1, 0, "width", value=2**70),
+     "truncated inside the matrix payload"),
+    (_huge_head_on_a_zero_width_map, "model header"),
 ], ids=["anchor-count", "layer-width", "units", "negative-shape",
-        "three-entry-shape", "head-classes", "input-unit-without-kernel",
-        "shape-past-the-anchor-count", "huge-empty-head"])
-def test_load_rejects_malformed_header_fields(tmp_path, edit):
+        "non-integer-width", "head-classes", "input-unit-without-kernel",
+        "width-past-the-payload", "huge-empty-head"])
+def test_load_rejects_malformed_header_fields(tmp_path, edit, message):
     path = helpers.saved_with_header(tmp_path / "model.bin", edit, seed=23)
-    with pytest.raises(FormatError, match="model header"):
+    with pytest.raises(FormatError, match=message):
         load_model(path)
 
 
@@ -353,9 +366,11 @@ def test_cross_layer_shapes_are_checked(tmp_path, edit, where):
     with pytest.raises(ConfigError, match=where):
         DmnModel(layers=model.layers, arch=model.arch,
                  anchor_samples=model.anchor_samples)
-    path = helpers.saved_with_model_edit(tmp_path / "model.bin", edit, seed=30)
-    with pytest.raises(FormatError, match=f"inconsistent model header: {where}"):
-        load_model(path)
+    # a file holds only unit widths, so such a model cannot be written down
+    path = tmp_path / "model.bin"
+    with pytest.raises(ConfigError, match=where):
+        helpers.saved_with_model_edit(path, edit, seed=30)
+    assert not path.exists()
 
 
 def test_load_rejects_trailing_bytes(tmp_path):
@@ -393,21 +408,21 @@ def test_worked_example_in_model_format_doc(tmp_path):
     save_model(model, head, path)
     raw = path.read_bytes()
 
-    assert len(raw) == 784
+    assert len(raw) == 609
     assert raw[:8] == MODEL_MAGIC
-    assert int.from_bytes(raw[8:12], "little") == 2
-    assert int.from_bytes(raw[12:16], "little") == 624
-    header = raw[16:640]
-    assert header.index(b'"anchors_shape": [2, 1]') < header.index(
-        b'"anchors_shape": [2, 0]')
-    payload = np.frombuffer(raw[640:752], dtype="<f8")
+    assert int.from_bytes(raw[8:12], "little") == 3
+    assert int.from_bytes(raw[12:16], "little") == 449
+    header = json.loads(raw[16:465])
+    assert [[unit["width"] for unit in units] for units in header["units"]] == [
+        [1], [2]]
+    payload = np.frombuffer(raw[465:577], dtype="<f8")
     npt.assert_array_equal(payload[:7], [0.25, 1.0, 1.0, 0.25, 1.0,
                                          4 / 17, 16 / 17])
     npt.assert_allclose(payload[7:11], [0.2590, -1.4548, 0.4748, 0.7935],
                         atol=5e-5)
     npt.assert_array_equal(payload[11:], [0.5, -0.25, 2.0])
-    assert raw[752:760] == bytes.fromhex("7BC6405B4ED92393")
-    assert raw[752:] == hashlib.sha256(raw[:752]).digest()
+    assert raw[577:585] == bytes.fromhex("18D851484FFD9C69")
+    assert raw[577:] == hashlib.sha256(raw[:577]).digest()
 
 
 def test_container_round_trip_does_not_copy_the_payload(tmp_path):
