@@ -25,9 +25,9 @@ from .kernels import GramMatrix, KernelSpec, eval_kernel, gram_matrix
 from .metrics import EvalReport, evaluate, f_measure
 from .model import (ClassifierHead, DmnModel, DmnUnit, classify, forward_batch,
                     input_kernel_rows, load_model, save_model, score_batch)
-from .training import (GradientBundle, TrainConfig, TrainLogEntry, backprop,
-                       cross_validate_C, format_history, grad_output, objective,
-                       svm_solve, train, train_with_guard)
+from .training import (TrainConfig, TrainLogEntry, backprop, cross_validate_C,
+                       format_history, grad_output, objective, svm_solve, train,
+                       train_with_guard)
 
 __version__ = "0.1.0"
 
@@ -35,8 +35,8 @@ __all__ = [
     "AnchorSet", "BenchReport", "BenchRow", "BuildError", "ClassifierHead",
     "ClipReport", "ConfigError", "DegenerateGramError", "DknArchitecture",
     "DmapnetError", "DmnModel", "DmnUnit", "EigenFactor", "EvalReport",
-    "FormatError", "GenerationError", "GradientBundle",
-    "GramMatrix", "InputError", "KernelSpec", "LabeledDataset", "LayerSpec",
+    "FormatError", "GenerationError", "GramMatrix", "InputError", "KernelSpec",
+    "LabeledDataset", "LayerSpec",
     "NumericError", "NumericRangeError", "SyntheticSpec", "TrainConfig",
     "TrainLogEntry", "TrainingDivergedError", "VersionError", "backprop",
     "build_dmn", "build_input_layer", "classify",

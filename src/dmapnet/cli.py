@@ -152,8 +152,13 @@ def _resolve(args, command: str) -> dict:
     for name, (conv, default, _) in table.items():
         value = getattr(args, name.replace("-", "_"))
         if value is None and name in config:
+            # no flag takes true, nor 30.9 for an integer; int() would take both
+            raw = config[name]
+            if isinstance(raw, bool) or (conv is int and type(raw) is not int):
+                raise ConfigError(f"config key {name!r}: {raw!r} is not a valid "
+                                  f"{conv.__name__}")
             try:
-                value = conv(config[name])
+                value = conv(raw)
             except (TypeError, ValueError, OverflowError) as err:
                 raise ConfigError(f"config key {name!r}: {err}") from err
         if value is None:

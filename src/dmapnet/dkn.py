@@ -170,10 +170,10 @@ class DknArchitecture:
             else:
                 try:
                     weights = random_mixing_weights(width, prev, rng)
-                except MemoryError as err:
+                except (MemoryError, ValueError) as err:
                     raise ConfigError(
-                        f"layer {len(layers) + 2}: no memory to draw "
-                        f"{width} x {prev} mixing weights") from err
+                        f"layer {len(layers) + 2}: cannot draw "
+                        f"{width} x {prev} mixing weights: {err}") from err
             layers.append(LayerSpec(width=width, activation=raw["activation"],
                                     weights=weights))
             prev = width

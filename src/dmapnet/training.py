@@ -7,6 +7,10 @@ with the normals held fixed.  Mixing weights are projected back onto the
 nonnegative orthant after every step.  A step that raises the objective is
 taken back and retried at half the learning rate, so the logged objective
 never increases.
+
+``parameters`` is the one list of trainable arrays: ``backprop`` returns
+gradients in its order, ``apply_gradients`` steps along it, the guard
+snapshots it and the gradient check names its rows after it.
 """
 
 from __future__ import annotations
@@ -75,15 +79,18 @@ def format_history(history) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass
-class GradientBundle:
-    """Gradients shaped like the trainable parameters, one array per unit
-    projection and anchor matrix (last-layer anchor gradients have zero
-    columns) and one per layer of mixing weights."""
-
-    u_grads: list
-    anchor_grads: list
-    weight_grads: list
+def parameters(model: DmnModel) -> list:
+    """``(name, owner, attribute)`` for every trainable array, in one fixed
+    order: each unit's projection, then its anchor map, layer by layer, then
+    each combination layer's mixing weights.  Layers and units count from 1;
+    last-layer anchor maps have no columns.
+    """
+    params = [(f"{kind}[layer {l}][unit {p}]", unit, attribute)
+              for l, units in enumerate(model.layers, start=1)
+              for p, unit in enumerate(units, start=1)
+              for kind, attribute in (("U", "projection"), ("A", "anchors"))]
+    return params + [(f"w[layer {l}]", spec, "weights")
+                     for l, spec in enumerate(model.arch.layers, start=2)]
 
 
 def as_per_class_c(c_policy, num_classes: int) -> np.ndarray:
@@ -205,11 +212,13 @@ def grad_output(head: ClassifierHead, final_maps, labels) -> np.ndarray:
     return -2.0 * ((C[None, :] * Y * margins) @ head.normals)
 
 
-def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> GradientBundle:
-    """Gradients of the objective for every trainable parameter.
+def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
+    """Gradients of the objective, one array per entry of
+    ``parameters(model)`` and in its order.
 
     ``batch`` is the forward trace of the same samples ``output_grads``
-    refers to.
+    refers to.  A non-finite gradient raises ``NumericRangeError`` naming
+    its parameter.
     """
     G = np.asarray(output_grads, dtype=np.float64)
     n = batch.num_samples
@@ -218,77 +227,56 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> GradientBundle
             f"output gradients must have shape ({n}, {model.final_width}), "
             f"got {G.shape}"
         )
-    u_grads = [[None] * len(units) for units in model.layers]
-    anchor_grads = [[None] * len(units) for units in model.layers]
-    anchor_grads[-1] = [np.zeros_like(unit.anchors) for unit in model.layers[-1]]
-    weight_grads = [np.zeros_like(layer.weights) for layer in model.arch.layers]
+    # the walk runs top-down, against parameters() order, so gradients are
+    # collected by (id(owner), attribute) and put in that order at the end
+    grads = {(id(unit), "anchors"): np.zeros_like(unit.anchors)
+             for unit in model.layers[-1]}
 
     d_out = [G] + [np.zeros_like(out) for out in batch.out[-1][1:]]
     for l in range(len(model.layers) - 1, 0, -1):
-        activation = model.arch.layers[l - 1].activation
+        spec = model.arch.layers[l - 1]
         ds = []
         for p, unit in enumerate(model.layers[l]):
             h = batch.h[l][p]
-            u_grads[l][p] = h.T @ d_out[p]
-            ds.append(activation_prime(activation, h)
+            grads[id(unit), "projection"] = h.T @ d_out[p]
+            ds.append(activation_prime(spec.activation, h)
                       * (d_out[p] @ unit.projection.T))
         # pre_p = sum_q w[p, q] * phi_q @ M_q.T, so lower unit q sees
         # sum_p w[p, q] * ds_p through its map and its anchors alike
-        d_pre = combine(model.arch.layers[l - 1].weights.T, ds)
+        d_pre = combine(spec.weights.T, ds)
+        weight_grad = np.zeros_like(spec.weights)
+        grads[id(spec), "weights"] = weight_grad
         d_out = []
         for q, unit in enumerate(model.layers[l - 1]):
             phi = batch.out[l - 1][q]
             S = phi @ unit.anchors.T
             for p, dsp in enumerate(ds):
-                weight_grads[l - 1][p, q] = float(np.vdot(dsp, S))
-            anchor_grads[l - 1][q] = d_pre[q].T @ phi
+                weight_grad[p, q] = float(np.vdot(dsp, S))
+            grads[id(unit), "anchors"] = d_pre[q].T @ phi
             d_out.append(d_pre[q] @ unit.anchors)
-    for q in range(len(model.layers[0])):
-        u_grads[0][q] = batch.h[0][q].T @ d_out[q]
+    for q, unit in enumerate(model.layers[0]):
+        grads[id(unit), "projection"] = batch.h[0][q].T @ d_out[q]
 
-    for l, units in enumerate(model.layers):
-        for p in range(len(units)):
-            if not np.isfinite(u_grads[l][p]).all():
-                raise NumericRangeError(
-                    f"non-finite projection gradient at layer {l + 1}, unit {p + 1}"
-                )
-            if not np.isfinite(anchor_grads[l][p]).all():
-                raise NumericRangeError(
-                    f"non-finite anchor gradient at layer {l + 1}, unit {p + 1}"
-                )
-    for li, wg in enumerate(weight_grads):
-        if not np.isfinite(wg).all():
-            raise NumericRangeError(
-                f"non-finite weight gradient below layer {li + 2}"
-            )
-    return GradientBundle(u_grads=u_grads, anchor_grads=anchor_grads,
-                          weight_grads=weight_grads)
+    for name, owner, attribute in parameters(model):
+        if not np.isfinite(grads[id(owner), attribute]).all():
+            raise NumericRangeError(f"non-finite gradient of {name}")
+    return [grads[id(owner), attribute] for _, owner, attribute in parameters(model)]
 
 
-def apply_gradients(model: DmnModel, bundle: GradientBundle, learning_rate: float) -> None:
-    """One descent step in place; mixing weights are clipped at zero."""
-    eta = float(learning_rate)
-    for l, units in enumerate(model.layers):
-        for p, unit in enumerate(units):
-            unit.projection = unit.projection - eta * bundle.u_grads[l][p]
-            unit.anchors = unit.anchors - eta * bundle.anchor_grads[l][p]
-    for li, layer_spec in enumerate(model.arch.layers):
-        layer_spec.weights = np.maximum(
-            0.0, layer_spec.weights - eta * bundle.weight_grads[li]
-        )
+def apply_gradients(model: DmnModel, grads, learning_rate: float) -> None:
+    """One descent step along ``grads``, given in ``parameters(model)``
+    order; mixing weights are clipped at zero.
 
-
-def _parameter_refs(model: DmnModel) -> list:
-    """``(owner, attribute, array)`` for every trainable array.
-
-    Plain references are a faithful snapshot because ``apply_gradients``
-    rebinds these attributes and never writes into the arrays.
+    Every parameter is rebound to a fresh array, never written into, so
+    references taken before the step still hold the old values; the
+    training guard's snapshot relies on that.
     """
-    refs = [(unit, name, getattr(unit, name))
-            for units in model.layers for unit in units
-            for name in ("projection", "anchors")]
-    refs += [(spec, "weights", spec.weights) for spec in model.arch.layers]
-    return refs
+    eta = float(learning_rate)
+    for (_, owner, attribute), grad in zip(parameters(model), grads, strict=True):
+        stepped = getattr(owner, attribute) - eta * grad
+        if attribute == "weights":
+            stepped = np.maximum(0.0, stepped)
+        setattr(owner, attribute, stepped)
 
 
 def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
@@ -341,8 +329,8 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
         if rejection is not None:
             if not history:
                 raise TrainingDivergedError(f"iteration 1: {rejection}")
-            for owner, name, array in accepted:
-                setattr(owner, name, array)
+            for (_, owner, attribute), array in zip(parameters(model), accepted):
+                setattr(owner, attribute, array)
             if halvings == max_halvings:
                 raise TrainingDivergedError(
                     f"iteration {len(history) + 1} at learning rate {eta:g}, "
@@ -351,7 +339,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
                 )
             halvings += 1
             eta /= 2.0
-            apply_gradients(model, bundle, eta)
+            apply_gradients(model, grads, eta)
             continue
         head.normals = omega
         entry = TrainLogEntry(iteration=len(history) + 1, objective=total,
@@ -363,9 +351,9 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
             consec = consec + 1 if rel < cfg.convergence_tol else 0
         done = consec >= CONVERGENCE_WINDOW or len(history) == cfg.max_iters
         if not done:
-            bundle = backprop(model, trace, grad_output(head, final, Y))
-            accepted = _parameter_refs(model)
-            apply_gradients(model, bundle, eta)
+            grads = backprop(model, trace, grad_output(head, final, Y))
+            accepted = [getattr(o, a) for _, o, a in parameters(model)]
+            apply_gradients(model, grads, eta)
         now = time.perf_counter()
         entry.wall_ms = (now - t0) * 1e3
         t0 = now

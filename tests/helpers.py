@@ -158,6 +158,24 @@ def setting(*keys, value):
     return edit
 
 
+def one_field_edit(rng, values):
+    """An edit of a parsed JSON object that replaces one randomly chosen
+    field, however deeply nested, by one of ``values``, or now and then
+    deletes it from its object."""
+    def edit(obj):
+        parent, key, node = None, None, obj
+        while (isinstance(node, (dict, list)) and node
+               and (parent is None or rng.random() < 0.8)):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = list(keys)[rng.integers(len(keys))]
+            parent, node = node, node[key]
+        if isinstance(parent, dict) and rng.random() < 0.1:
+            del parent[key]
+        else:
+            parent[key] = values[rng.integers(len(values))]
+    return edit
+
+
 def saved_with_model_edit(path, edit, seed=0):
     """Save a toy model with a head after passing the model through
     ``edit``; the file's checksum is valid whatever the edit broke."""

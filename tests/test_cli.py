@@ -242,14 +242,8 @@ def test_gen_data_invalid_noise(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("config", [
-    '{"n": Infinity}',
-    '{"n": 1180591620717411303424}',
-    '{"k": 1000000000000000}',
-], ids=["infinite-n", "n-past-numpy-dimensions", "k-past-the-address-space"])
-def test_gen_data_unrepresentable_sizes_are_exit_one(tmp_path, capsys, config):
-    # each request lies beyond the address space, so numpy refuses it
-    # before allocating anything
+def _assert_gen_data_config_is_exit_one(tmp_path, capsys, config):
+    """gen-data with ``config`` exits 1 with an error line and no output."""
     config_path = tmp_path / "config.json"
     config_path.write_text(config)
     out = tmp_path / "x.tsv"
@@ -259,6 +253,29 @@ def test_gen_data_unrepresentable_sizes_are_exit_one(tmp_path, capsys, config):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    '{"n": Infinity}',
+    '{"n": 1180591620717411303424}',
+    '{"k": 1000000000000000}',
+], ids=["infinite-n", "n-past-numpy-dimensions", "k-past-the-address-space"])
+def test_gen_data_unrepresentable_sizes_are_exit_one(tmp_path, capsys, config):
+    # each request lies beyond the address space, so numpy refuses it
+    # before allocating anything
+    _assert_gen_data_config_is_exit_one(tmp_path, capsys, config)
+
+
+@pytest.mark.parametrize("config", [
+    '{"n": 30.9}',
+    '{"seed": 1.5}',
+    '{"seed": true}',
+    '{"noise": false}',
+], ids=["fractional-n", "fractional-seed", "boolean-seed", "boolean-noise"])
+def test_gen_data_config_values_are_not_coerced(tmp_path, capsys, config):
+    # the flags reject "30.9" for an integer and "true" for any option, so
+    # the config must not truncate or coerce them either
+    _assert_gen_data_config_is_exit_one(tmp_path, capsys, config)
 
 
 def test_build_more_anchors_than_samples(tmp_path, capsys):

@@ -130,15 +130,48 @@ def test_architecture_file_rejects_malformed_fields(tmp_path):
         with pytest.raises(ConfigError):
             DknArchitecture.from_json_dict(obj)
     # drawn weights for an impossible width name the layer, not a raw
-    # MemoryError
-    path.write_text(json.dumps({"input_kernels": [{"kind": "linear"}],
-                                "layers": [{"width": 1000000000000,
-                                            "activation": "exp"}]}))
-    with pytest.raises(ConfigError, match="layer 2"):
-        load_architecture(path)
+    # MemoryError (past the address space) or ValueError (past numpy's
+    # dimension limit)
+    for width in (1000000000000, 10**19):
+        path.write_text(json.dumps({"input_kernels": [{"kind": "linear"}],
+                                    "layers": [{"width": width,
+                                                "activation": "exp"}]}))
+        with pytest.raises(ConfigError, match="layer 2"):
+            load_architecture(path)
     path.write_bytes(b'{"input_kernels": "\xff"}')
     with pytest.raises(ConfigError):
         load_architecture(path)
+
+
+# values a fuzzed architecture field is replaced with; no width here is
+# both drawable and large, so no case allocates more than a few bytes
+_ARCH_FUZZ_VALUES = (None, True, -1, 0, 1, 2, 1.5, 1e308, "x", "tanh", "rbf",
+                     [], {}, [[1.0]], 10**12, 10**19, 2**70, {"kind": "rbf"})
+
+
+def test_load_architecture_survives_seeded_fuzz(tmp_path):
+    # any one-field mutation of a valid architecture file loads or raises
+    # ConfigError; the last layer's weights are drawn, so width mutations
+    # reach the draw
+    arch = default_architecture(default_input_kernels(), hidden_width=3, seed=1)
+    base = arch.to_json_dict()
+    del base["layers"][-1]["weights"]
+    path = tmp_path / "arch.json"
+    rng = np.random.default_rng(43)
+    outcomes = set()
+    for _ in range(1000):
+        obj = json.loads(json.dumps(base))
+        helpers.one_field_edit(rng, _ARCH_FUZZ_VALUES)(obj)
+        path.write_text(json.dumps(obj))
+        try:
+            load_architecture(path)
+        except ConfigError:
+            outcomes.add("ConfigError")
+        except Exception as err:  # noqa: BLE001 - report the escaping input
+            pytest.fail(f"{type(err).__name__} escaped for {json.dumps(obj)}")
+        else:
+            outcomes.add("loaded")
+    assert outcomes == {"loaded", "ConfigError"}
 
 
 def test_forward_grams_match_pair_evaluations():

@@ -300,23 +300,6 @@ _FUZZ_VALUES = (None, True, -1, 0, 1, 3, 2**70, 1.5, "x", [], {}, [2**70, 0],
                 [0, 2**70], [6, 0], [6, 6], {"kind": "rbf"})
 
 
-def _fuzzed(rng):
-    """A header edit that replaces or deletes one randomly chosen field,
-    however deeply nested."""
-    def edit(header):
-        parent, key, node = None, None, header
-        while (isinstance(node, (dict, list)) and node
-               and (parent is None or rng.random() < 0.8)):
-            keys = sorted(node) if isinstance(node, dict) else range(len(node))
-            key = list(keys)[rng.integers(len(keys))]
-            parent, node = node, node[key]
-        if isinstance(parent, dict) and rng.random() < 0.1:
-            del parent[key]
-        else:
-            parent[key] = _FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))]
-    return edit
-
-
 def test_load_survives_seeded_header_fuzz(tmp_path):
     # a checksum-valid file with any one header field replaced either loads
     # and scores or fails with a typed error
@@ -324,8 +307,9 @@ def test_load_survives_seeded_header_fuzz(tmp_path):
     X = rng.uniform(0.0, 0.5, size=(4, 3))
     outcomes = set()
     for _ in range(1000):
-        path = helpers.saved_with_header(tmp_path / "model.bin", _fuzzed(rng),
-                                         seed=31)
+        path = helpers.saved_with_header(
+            tmp_path / "model.bin", helpers.one_field_edit(rng, _FUZZ_VALUES),
+            seed=31)
         try:
             model, head = load_model(path)
             if head is not None:

@@ -6,12 +6,12 @@ import pytest
 
 import helpers
 from dmapnet import (ClassifierHead, ConfigError, InputError, LabeledDataset,
-                     TrainConfig, TrainingDivergedError, backprop,
-                     cross_validate_C, forward_batch, format_history,
+                     NumericRangeError, TrainConfig, TrainingDivergedError,
+                     backprop, cross_validate_C, forward_batch, format_history,
                      grad_output, objective, svm_solve, train,
                      train_with_guard)
 from dmapnet.training import (CONVERGENCE_WINDOW, apply_gradients,
-                              as_per_class_c)
+                              as_per_class_c, parameters)
 
 
 def test_solver_closed_form_symmetric_pair():
@@ -114,27 +114,38 @@ def test_backprop_matches_finite_differences():
     with_zero.arch.layers[0].weights[0, 0] = 0.0
     for m in (model, with_zero):
         final, trace = forward_batch(m, data.features)
-        bundle = backprop(m, trace, grad_output(head, final, data.labels))
+        grads = backprop(m, trace, grad_output(head, final, data.labels))
         numeric = finite_difference_gradients(m, head, data, step=1e-5)
-        for l in range(len(m.layers)):
-            for p in range(len(m.layers[l])):
-                npt.assert_allclose(bundle.u_grads[l][p], numeric.u_grads[l][p],
-                                    rtol=1e-4, atol=1e-7)
-                npt.assert_allclose(bundle.anchor_grads[l][p],
-                                    numeric.anchor_grads[l][p],
-                                    rtol=1e-4, atol=1e-7)
-        for li in range(len(m.arch.layers)):
-            npt.assert_allclose(bundle.weight_grads[li], numeric.weight_grads[li],
-                                rtol=1e-4, atol=1e-7)
+        params = parameters(m)
+        assert len(grads) == len(numeric) == len(params)
+        for (name, owner, attribute), analytic, differenced in zip(
+                params, grads, numeric):
+            assert analytic.shape == getattr(owner, attribute).shape, name
+            npt.assert_allclose(analytic, differenced, rtol=1e-4, atol=1e-7,
+                                err_msg=name)
 
 
 def test_apply_gradients_clips_weights():
     model, head, data = helpers.toy_problem(seed=47)
     final, trace = forward_batch(model, data.features)
-    bundle = backprop(model, trace, grad_output(head, final, data.labels))
-    bundle.weight_grads[0] = np.full_like(bundle.weight_grads[0], 1e9)
-    apply_gradients(model, bundle, 1.0)
+    grads = backprop(model, trace, grad_output(head, final, data.labels))
+    first_weights = [i for i, (_, owner, _) in enumerate(parameters(model))
+                     if owner is model.arch.layers[0]]
+    assert len(first_weights) == 1
+    grads[first_weights[0]] = np.full_like(grads[first_weights[0]], 1e9)
+    apply_gradients(model, grads, 1.0)
     assert (model.arch.layers[0].weights == 0.0).all()
+
+
+def test_backprop_names_the_non_finite_parameter():
+    model, head, data = helpers.toy_problem(seed=48)
+    final, trace = forward_batch(model, data.features)
+    out_grads = grad_output(head, final, data.labels)
+    out_grads[0, 0] = np.inf
+    name = r"[UA]\[layer \d+\]\[unit \d+\]"
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericRangeError, match=f"non-finite gradient of {name}"):
+            backprop(model, trace, out_grads)
 
 
 def test_train_config_validation():
@@ -227,13 +238,18 @@ def test_apply_gradients_leaves_replaced_arrays_unchanged():
     # sound while a step rebinds the arrays instead of writing into them
     model, head, data = helpers.toy_problem(seed=66)
     final, trace = forward_batch(model, data.features)
-    bundle = backprop(model, trace, grad_output(head, final, data.labels))
+    grads = backprop(model, trace, grad_output(head, final, data.labels))
     owners = [(unit, name) for units in model.layers for unit in units
               for name in ("projection", "anchors")]
     owners += [(spec, "weights") for spec in model.arch.layers]
+    # parameters() lists exactly these, in this order, by identity
+    listed = [(owner, name) for _, owner, name in parameters(model)]
+    assert len(listed) == len(owners)
+    for (owner, name), (want_owner, want_name) in zip(listed, owners):
+        assert owner is want_owner and name == want_name
     before = [getattr(owner, name) for owner, name in owners]
     copies = [array.copy() for array in before]
-    apply_gradients(model, bundle, 1e-2)
+    apply_gradients(model, grads, 1e-2)
     for (owner, name), old, saved in zip(owners, before, copies):
         assert (old == saved).all()
     changed = [getattr(owner, name) is not old
