@@ -6,11 +6,13 @@ into coordinates whose inner products reproduce the unit's kernel on the
 anchor set, up to the discarded eigenvalue mass.  Construction walks the
 layers bottom-up: each unit keeps its map of the anchor samples as its
 anchors, and the gram of an upper unit is the weighted sum, over the lower
-units, of those maps' inner products, then activated.
+units, of those maps' inner products, then activated.  ``_unit`` makes every
+unit, input or combination; ``model`` defines the ``ClipReport`` it records.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ from .dkn import (DknArchitecture, EXP, activation_apply, combine,
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
 from .kernels import GramMatrix, gram_matrix, max_asymmetry
-from .model import DmnModel, DmnUnit, forward_batch
+from .model import ClipReport, DmnModel, DmnUnit, forward_batch
 
 # exp overflows float64 a little above this argument
 EXP_ARG_LIMIT = 700.0
@@ -54,16 +56,6 @@ class AnchorSet:
     @property
     def count(self) -> int:
         return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
-class ClipReport:
-    """How much spectrum an eigendecomposition kept and dropped."""
-
-    retained: int
-    discarded: int
-    discarded_max_abs: float
-    discarded_abs_sum: float
 
 
 @dataclass(frozen=True)
@@ -134,25 +126,24 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
                        clip_report=report)
 
 
+def _unit(gram, clip_ratio: float, layer: int, unit: int, last: bool) -> DmnUnit:
+    """The unit with this gram over the anchor samples: its projection and,
+    below the last layer, its map of the anchor samples as its anchors, whose
+    row inner products reproduce the gram up to the clipped spectrum."""
+    try:
+        factor = eigen_projection(gram, clip_ratio)
+    except DegenerateGramError as err:
+        raise BuildError(f"layer {layer}, unit {unit}: {err}") from err
+    maps = np.zeros((gram.shape[0], 0)) if last else factor.anchor_map()
+    return DmnUnit(anchors=maps, projection=factor.projection(),
+                   clip_report=factor.clip_report)
+
+
 def build_input_layer(specs, anchors: AnchorSet,
                       clip_ratio: float = DEFAULT_CLIP_RATIO) -> list:
-    """Explicit maps for each base kernel over the anchor set.
-
-    Each unit stores the projection from the eigendecomposition of its gram
-    and, as its anchors, its map of the anchor samples, whose row inner
-    products reproduce the gram up to the clipped spectrum.
-    """
-    units = []
-    for q, spec in enumerate(specs):
-        K = gram_matrix(spec, anchors.samples).values
-        try:
-            factor = eigen_projection(K, clip_ratio)
-        except DegenerateGramError as err:
-            raise BuildError(f"layer 1, unit {q + 1}: {err}") from err
-        units.append(DmnUnit(anchors=factor.anchor_map(),
-                             projection=factor.projection(),
-                             clip_report=factor.clip_report))
-    return units
+    """Explicit maps for each base kernel over the anchor set."""
+    return [_unit(gram_matrix(spec, anchors.samples).values, clip_ratio, 1,
+                  q + 1, last=False) for q, spec in enumerate(specs)]
 
 
 def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
@@ -162,8 +153,6 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
     ``log`` is an optional callable receiving one text line per unit with
     the retained width and discarded eigenvalue mass.
     """
-    import copy as _copy
-
     def emit(layer, unit, report):
         if log is not None:
             log(f"layer {layer} unit {unit}: retained {report.retained}, "
@@ -190,16 +179,10 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
                     f"{EXP_ARG_LIMIT:g}"
                 )
             G = activation_apply(layer_spec.activation, pre, out=pre)
-            try:
-                factor = eigen_projection(G, clip_ratio)
-            except DegenerateGramError as err:
-                raise BuildError(f"layer {layer_no}, unit {p + 1}: {err}") from err
-            maps = np.zeros((anchors.count, 0)) if last else factor.anchor_map()
-            units.append(DmnUnit(anchors=maps, projection=factor.projection(),
-                                 clip_report=factor.clip_report))
-            emit(layer_no, p + 1, factor.clip_report)
+            units.append(_unit(G, clip_ratio, layer_no, p + 1, last))
+            emit(layer_no, p + 1, units[-1].clip_report)
         unit_layers.append(units)
-    return DmnModel(layers=unit_layers, arch=_copy.deepcopy(arch),
+    return DmnModel(layers=unit_layers, arch=copy.deepcopy(arch),
                     anchor_samples=anchors.samples.copy(),
                     anchor_ids=anchors.ids)
 
@@ -212,9 +195,7 @@ def reconstruction_errors(model: DmnModel) -> list:
     models reproduce every unit's gram up to the clipped eigenvalue mass.
     """
     S = model.anchor_samples
-    ids = model.anchor_ids
-    input_grams = [gram_matrix(spec, S, row_ids=ids, col_ids=ids)
-                   for spec in model.arch.input_kernels]
+    input_grams = [gram_matrix(spec, S) for spec in model.arch.input_kernels]
     reference = dkn_forward_grams(model.arch, input_grams)
     _, trace = forward_batch(model, S)
     errors = []

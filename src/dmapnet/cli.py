@@ -19,9 +19,11 @@ import numpy as np
 from .bench import run_bench
 from .builder import AnchorSet, build_dmn, reconstruction_errors
 from .checks import gradient_check
-from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from .dkn import (DknArchitecture, default_architecture, default_input_kernels,
-                  load_architecture)
+from .data import (LabeledDataset, SyntheticSpec, generate_synthetic,
+                   load_dataset, save_dataset)
+from .dkn import (DknArchitecture, LayerSpec, default_architecture,
+                  default_input_kernels, load_architecture,
+                  random_mixing_weights)
 from .errors import ConfigError, InputError, NumericError
 from .fileio import atomic_write_text
 from .kernels import KernelSpec
@@ -168,6 +170,8 @@ def _resolve(args, command: str) -> dict:
         out[name.replace("-", "_")] = value
     if out.get("anchors", 2) < 2:
         raise ConfigError(f"--anchors must be at least 2, got {out['anchors']}")
+    if out.get("seed", 0) < 0:
+        raise ConfigError(f"--seed must be at least 0, got {out['seed']}")
     return out
 
 
@@ -275,9 +279,6 @@ def _cmd_eval(opts) -> int:
 
 def _gradcheck_fixture(seed: int):
     """A small model and dataset exercising every activation kind."""
-    from .data import LabeledDataset
-    from .dkn import LayerSpec, random_mixing_weights
-
     rng = np.random.default_rng(seed)
     n, d, K, n_anchor = 8, 3, 2, 5
     X = rng.normal(0.0, 1.0, size=(n, d))

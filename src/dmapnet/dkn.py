@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .kernels import BLOCK_BYTES, GramMatrix, KernelSpec, _is_whole, block_rows
+from .kernels import GramMatrix, KernelSpec, _is_whole, block_rows, eval_kernel
 
 TANH = "tanh"
 EXP = "exp"
@@ -168,12 +168,7 @@ class DknArchitecture:
             if "weights" in raw and raw["weights"] is not None:
                 weights = raw["weights"]
             else:
-                try:
-                    weights = random_mixing_weights(width, prev, rng)
-                except (MemoryError, ValueError) as err:
-                    raise ConfigError(
-                        f"layer {len(layers) + 2}: cannot draw "
-                        f"{width} x {prev} mixing weights: {err}") from err
+                weights = _drawn_weights(width, prev, rng, len(layers) + 2)
             layers.append(LayerSpec(width=width, activation=raw["activation"],
                                     weights=weights))
             prev = width
@@ -186,18 +181,26 @@ def random_mixing_weights(width: int, prev_width: int, rng) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _drawn_weights(width: int, prev_width: int, rng, layer: int) -> np.ndarray:
+    """``random_mixing_weights``; a draw too large is a ConfigError."""
+    try:
+        return random_mixing_weights(width, prev_width, rng)
+    except (MemoryError, ValueError) as err:
+        raise ConfigError(f"layer {layer}: cannot draw {width} x {prev_width} "
+                          f"mixing weights: {err}") from err
+
+
 def default_architecture(input_kernels, hidden_width: int | None = None,
                          seed: int = 0) -> DknArchitecture:
     """Three-layer network: inputs, a tanh layer twice as wide, one exp unit."""
     n1 = len(input_kernels)
-    if hidden_width is None:
-        hidden_width = 2 * n1
+    hidden_width = _layer_width(2 * n1 if hidden_width is None else hidden_width)
     rng = np.random.default_rng(seed)
     layers = [
         LayerSpec(width=hidden_width, activation=TANH,
-                  weights=random_mixing_weights(hidden_width, n1, rng)),
+                  weights=_drawn_weights(hidden_width, n1, rng, 2)),
         LayerSpec(width=1, activation=EXP,
-                  weights=random_mixing_weights(1, hidden_width, rng)),
+                  weights=_drawn_weights(1, hidden_width, rng, 3)),
     ]
     return DknArchitecture(input_kernels=input_kernels, layers=layers)
 
@@ -226,29 +229,26 @@ def combine(weights, terms) -> list:
     accumulated in ascending ``q``.
 
     ``terms`` is consumed one at a time, so a generator keeps only one term
-    alive.  Terms may be arrays (the sums are then fresh arrays, summed in
-    place) or scalars.  When the first term is a 2-D array larger than
-    ``BLOCK_BYTES``, each later term is added one row block at a time into
-    every sum, so all sums read that block from cache; smaller terms and
-    scalars are added whole.  Either way every entry sees the same
-    operations in the same order.
+    alive.  Terms may be 2-D arrays (the sums are then fresh arrays, summed
+    in place) or scalars, from ``dkn_pair``'s recursion, which are added
+    whole.  Each later array is added one row block of ``block_rows`` at a
+    time into every sum, so all sums read that block from cache; a small
+    term is one block.  Every entry sees the same operations in the same
+    order.
     """
     sums = None
-    step = None
     for q, term in enumerate(terms):
         if sums is None:
             sums = [w * term for w in weights[:, q]]
-            if (isinstance(term, np.ndarray) and term.ndim == 2
-                    and term.nbytes > BLOCK_BYTES):
-                step = block_rows(term.shape[1])
-        elif step is None:
-            for p, w in enumerate(weights[:, q]):
-                sums[p] += w * term
-        else:
+        elif isinstance(term, np.ndarray):
+            step = block_rows(term.shape[1])
             for i in range(0, term.shape[0], step):
                 block = term[i:i + step]
                 for p, w in enumerate(weights[:, q]):
                     sums[p][i:i + step] += w * block
+        else:
+            for p, w in enumerate(weights[:, q]):
+                sums[p] += w * term
     return sums
 
 
@@ -286,8 +286,6 @@ def dkn_forward_grams(arch: DknArchitecture, input_grams) -> list:
 
 def dkn_pair(arch: DknArchitecture, x, y) -> float:
     """Network kernel value for one sample pair (output unit 1)."""
-    from .kernels import eval_kernel
-
     kappa = [eval_kernel(spec, x, y) for spec in arch.input_kernels]
     for layer in arch.layers:
         kappa = [float(activation_apply(layer.activation, pre))

@@ -201,14 +201,11 @@ def _gram_block(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_matrix(spec: KernelSpec, X, Y=None, *, row_ids=None,
-                col_ids=None) -> GramMatrix:
-    """Kernel values between every row of ``X`` and every row of ``Y``.
-
-    ``Y=None`` means ``Y = X``.
-    """
-    X = _as_samples(X, "X")
-    Y = X if Y is None else _as_samples(Y, "Y")
+def _sample_pair(spec: KernelSpec, X, Y, names: str) -> tuple:
+    """``X`` and ``Y`` (``X`` when ``Y`` is None) as sample arrays of one
+    feature dimension that ``spec`` accepts; ``names`` names them in errors."""
+    X = _as_samples(X, names[0])
+    Y = X if Y is None else _as_samples(Y, names[1])
     if X.shape[1] != Y.shape[1]:
         raise InputError(
             f"sample dimension mismatch: {X.shape[1]} vs {Y.shape[1]}"
@@ -216,6 +213,18 @@ def gram_matrix(spec: KernelSpec, X, Y=None, *, row_ids=None,
     if spec.kind == HISTOGRAM_INTERSECTION:
         if np.min(X) < 0 or np.min(Y) < 0:
             raise InputError("histogram intersection requires nonnegative features")
+    return X, Y
+
+
+# overflow yields inf or nan silently; GramMatrix rejects non-finite entries
+@np.errstate(over="ignore", invalid="ignore")
+def gram_matrix(spec: KernelSpec, X, Y=None, *, row_ids=None,
+                col_ids=None) -> GramMatrix:
+    """Kernel values between every row of ``X`` and every row of ``Y``.
+
+    ``Y=None`` means ``Y = X``.
+    """
+    X, Y = _sample_pair(spec, X, Y, "XY")
     values = _gram_block(spec, X, Y)
     if Y is X and col_ids is None:
         # both axes index the same samples; claim it so symmetry is checked
@@ -229,15 +238,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     Runs the same core as ``gram_matrix`` on a 1x1 block, so the result is
     bit-identical to the corresponding gram entry.
     """
-    X = _as_samples(x, "x")
-    Y = _as_samples(y, "y")
+    X, Y = _sample_pair(spec, x, y, "xy")
     if X.shape[0] != 1 or Y.shape[0] != 1:
         raise InputError("eval_kernel expects single samples")
-    if X.shape[1] != Y.shape[1]:
-        raise InputError(
-            f"sample dimension mismatch: {X.shape[1]} vs {Y.shape[1]}"
-        )
-    if spec.kind == HISTOGRAM_INTERSECTION:
-        if np.min(X) < 0 or np.min(Y) < 0:
-            raise InputError("histogram intersection requires nonnegative features")
     return float(_gram_block(spec, X, Y)[0, 0])

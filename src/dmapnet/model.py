@@ -12,7 +12,7 @@ layer maps a sample through its pre-activation
 each lower unit's map ``phi_q`` with that unit's anchors ``M_q``,
 activated with its layer's activation and times its projection.
 Inference therefore never touches any training set, only the fixed anchor
-matrices.
+matrices.  The ``ClipReport`` each unit stores is defined here beside it.
 """
 
 from __future__ import annotations
@@ -21,17 +21,27 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dkn import DknArchitecture, activation_apply, combine
+from .dkn import DknArchitecture, LayerSpec, activation_apply, combine
 from .errors import ConfigError, FormatError, InputError, NumericRangeError, VersionError
 from .fileio import atomic_write_bytes
 from .kernels import KernelSpec, gram_matrix
 
 MODEL_MAGIC = b"DMAPMDL\x00"
 MODEL_VERSION = 3
+
+
+@dataclass(frozen=True)
+class ClipReport:
+    """How much spectrum an eigendecomposition kept and dropped."""
+
+    retained: int
+    discarded: int
+    discarded_max_abs: float
+    discarded_abs_sum: float
 
 
 @dataclass
@@ -50,7 +60,7 @@ class DmnUnit:
 
     anchors: np.ndarray
     projection: np.ndarray
-    clip_report: object | None = None
+    clip_report: ClipReport | None = None
 
     def __post_init__(self):
         self.anchors = np.asarray(self.anchors, dtype=np.float64)
@@ -249,6 +259,13 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
     return trace.final, trace
 
 
+def check_head_width(model: DmnModel, head: ClassifierHead) -> None:
+    """Raise ConfigError unless the head is as wide as the final map."""
+    if head.normals.shape[1] != model.final_width:
+        raise ConfigError(f"head width {head.normals.shape[1]} does not match "
+                          f"the final map width {model.final_width}")
+
+
 def score_batch(model: DmnModel, head: ClassifierHead, X) -> np.ndarray:
     """Scores for a batch of samples, one row per sample.
 
@@ -258,11 +275,7 @@ def score_batch(model: DmnModel, head: ClassifierHead, X) -> np.ndarray:
         raise ConfigError(
             "classification requires a final layer with exactly one unit"
         )
-    if head.normals.shape[1] != model.final_width:
-        raise ConfigError(
-            f"head width {head.normals.shape[1]} does not match the final map "
-            f"width {model.final_width}"
-        )
+    check_head_width(model, head)
     final, _ = forward_batch(model, X)
     return final @ head.normals.T
 
@@ -279,22 +292,9 @@ def classify(model: DmnModel, head: ClassifierHead, x) -> tuple:
 
 # --- binary container --------------------------------------------------------
 
-def _clip_report_to_dict(report) -> dict | None:
-    if report is None:
-        return None
-    return {
-        "retained": int(report.retained),
-        "discarded": int(report.discarded),
-        "discarded_max_abs": float(report.discarded_max_abs),
-        "discarded_abs_sum": float(report.discarded_abs_sum),
-    }
-
-
 def _clip_report_from_dict(obj):
     if obj is None:
         return None
-    from .builder import ClipReport
-
     return ClipReport(
         retained=_count(obj["retained"], "clip_report retained"),
         discarded=_count(obj["discarded"], "clip_report discarded"),
@@ -348,7 +348,8 @@ def save_model(model: DmnModel, head: ClassifierHead | None, path) -> None:
         "units": [
             [
                 {"width": unit.width,
-                 "clip_report": _clip_report_to_dict(unit.clip_report)}
+                 "clip_report": (None if unit.clip_report is None
+                                 else asdict(unit.clip_report))}
                 for unit in units
             ]
             for units in model.layers
@@ -465,8 +466,6 @@ def load_model(path) -> tuple:
 
     reader = _PayloadReader(buf[start + pos:start + len(body)])
     anchor_samples = reader.take((n, d))
-    from .dkn import LayerSpec
-
     layers_spec = []
     prev = len(kernels)
     unit_layers = []

@@ -25,8 +25,8 @@ from .data import LabeledDataset
 from .dkn import activation_prime, combine
 from .errors import ConfigError, InputError, NumericRangeError, TrainingDivergedError
 from .metrics import f_measure
-from .model import (BatchTrace, ClassifierHead, DmnModel, forward_batch,
-                    input_kernel_rows)
+from .model import (BatchTrace, ClassifierHead, DmnModel, check_head_width,
+                    forward_batch, input_kernel_rows)
 
 CONVERGENCE_WINDOW = 10
 
@@ -130,7 +130,7 @@ def _class_gradient(F, y, c, w):
     margins = 1.0 - y * (F @ w)
     active = margins > 0
     grad = w - 2.0 * c * (F[active].T @ (y[active] * margins[active]))
-    return grad, active, margins
+    return grad, active
 
 
 def _solve_class(F, y, c, w0, tol_scale: float = 1e-6, max_newton: int = 100):
@@ -147,7 +147,7 @@ def _solve_class(F, y, c, w0, tol_scale: float = 1e-6, max_newton: int = 100):
     w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
     grad0 = -2.0 * c * ((F * y[:, None]).sum(axis=0))
     tol = tol_scale * max(1.0, float(np.max(np.abs(grad0))) if d else 1.0)
-    grad, active, _ = _class_gradient(F, y, c, w)
+    grad, active = _class_gradient(F, y, c, w)
     value = _class_objective(F, y, c, w)
     for _ in range(max_newton):
         if np.max(np.abs(grad)) <= tol:
@@ -163,7 +163,7 @@ def _solve_class(F, y, c, w0, tol_scale: float = 1e-6, max_newton: int = 100):
             v_try = _class_objective(F, y, c, w_try)
             if v_try <= value + 1e-4 * t * slope:
                 w, value = w_try, v_try
-                grad, active, _ = _class_gradient(F, y, c, w)
+                grad, active = _class_gradient(F, y, c, w)
                 moved = True
                 break
             t *= 0.5
@@ -180,6 +180,9 @@ def svm_solve(final_maps, labels, c_policy, initial=None) -> np.ndarray:
     K = Y.shape[1]
     C = as_per_class_c(c_policy, K)
     omega = np.zeros((K, F.shape[1]))
+    if initial is not None and np.shape(initial) != omega.shape:
+        raise InputError(f"initial normals must have shape {omega.shape}, "
+                         f"got {np.shape(initial)}")
     for k in range(K):
         w0 = None if initial is None else np.asarray(initial)[k]
         omega[k] = _solve_class(F, Y[:, k], C[k], w0)
@@ -212,6 +215,8 @@ def grad_output(head: ClassifierHead, final_maps, labels) -> np.ndarray:
     return -2.0 * ((C[None, :] * Y * margins) @ head.normals)
 
 
+# overflow passes silently, as in forward_batch; the finite check names it
+@np.errstate(over="ignore", invalid="ignore")
 def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
     """Gradients of the objective, one array per entry of
     ``parameters(model)`` and in its order.
@@ -293,11 +298,13 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
     logged iterations, and then take one step unless ``convergence_tol``
     held for ten consecutive relative changes.  ``TrainingDivergedError``
     is raised when the first evaluation fails or a rejection arrives after
-    ``max_halvings`` halvings; it carries the last accepted model, head and
+    ``max_halvings`` halvings, or when the gradient at an accepted
+    evaluation is not finite; it carries the last accepted model, head and
     history.
     """
     if data.num_classes != head.num_classes:
         raise ConfigError("head classes must match the dataset classes")
+    check_head_width(model, head)
     model = copy.deepcopy(model)
     C = as_per_class_c(head.trade_offs if cfg.c_policy is None else cfg.c_policy,
                        data.num_classes)
@@ -351,7 +358,13 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
             consec = consec + 1 if rel < cfg.convergence_tol else 0
         done = consec >= CONVERGENCE_WINDOW or len(history) == cfg.max_iters
         if not done:
-            grads = backprop(model, trace, grad_output(head, final, Y))
+            try:
+                grads = backprop(model, trace, grad_output(head, final, Y))
+            except NumericRangeError as err:
+                # taken at the accepted parameters, so no rate can help
+                raise TrainingDivergedError(
+                    f"iteration {len(history)}: {err}",
+                    model=model, head=head, history=history) from err
             accepted = [getattr(o, a) for _, o, a in parameters(model)]
             apply_gradients(model, grads, eta)
         now = time.perf_counter()

@@ -378,3 +378,43 @@ def test_seeded_commands_are_reproducible(tmp_path, capsys):
                      "--anchors", "8", "--seed", "11"]) == 0
     assert ma.read_bytes() == mb.read_bytes()
     capsys.readouterr()
+
+
+# values a fuzzed config field is replaced with; no count lies between
+# 10**4 and 10**15, so no case can really allocate a large array
+_CONFIG_FUZZ_VALUES = (None, True, False, -1, 0, 1, 2, 3, 8, 0.5, 1.5, 1e308,
+                       float("inf"), float("nan"), 2**63, 2**70, 10**15, "x",
+                       "", [], [1, 2], {}, {"n": 1})
+
+_CONFIG_FUZZ_BASES = {
+    "gen-data": {"out": "gen.tsv", "n": 12, "d": 3, "k": 2, "clusters": 1,
+                 "noise": 0.1, "seed": 1},
+    "build-dmn": {"data": "data.tsv", "out": "model.bin", "anchors": 6,
+                  "hidden-width": 3, "clip-ratio": 1e-10, "gamma": 1.0,
+                  "degree": 2, "offset": 1.0, "seed": 1},
+}
+
+
+def test_cli_config_survives_seeded_fuzz(tmp_path, monkeypatch, capsys):
+    # any one-field edit of a valid config ends in exit 0, 1 or 2, never in
+    # a traceback; the cases run in tmp_path, since an edited "out" such as
+    # 5 is a legal file name
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-data", "--out", "data.tsv", "--n", "12", "--d", "3",
+                 "--k", "2", "--seed", "5"]) == 0
+    rng = np.random.default_rng(59)
+    codes = set()
+    for case in range(600):
+        command = sorted(_CONFIG_FUZZ_BASES)[case % 2]
+        config = json.loads(json.dumps(_CONFIG_FUZZ_BASES[command]))
+        helpers.one_field_edit(rng, _CONFIG_FUZZ_VALUES)(config)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        try:
+            code = main([command, "--config", "config.json"])
+        except Exception as err:  # noqa: BLE001 - report the escaping input
+            pytest.fail(f"{type(err).__name__} escaped for {command} "
+                        f"{json.dumps(config)}: {err}")
+        assert code in (0, 1, 2), f"{command} {json.dumps(config)}"
+        codes.add(code)
+        capsys.readouterr()
+    assert {0, 1} <= codes

@@ -146,6 +146,58 @@ def test_backprop_names_the_non_finite_parameter():
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericRangeError, match=f"non-finite gradient of {name}"):
             backprop(model, trace, out_grads)
+    # without a caller's errstate, numpy's warning (an error under this
+    # suite's filter) must not escape before the named error
+    with pytest.raises(NumericRangeError, match=f"non-finite gradient of {name}"):
+        backprop(model, trace, out_grads)
+
+
+def test_non_finite_gradient_ends_training_with_the_accepted_state(monkeypatch):
+    import dmapnet.training as training
+
+    model, head, data = helpers.toy_problem(seed=48)
+    calls = []
+
+    def failing_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericRangeError("non-finite gradient of U[layer 1][unit 1]")
+        return backprop(*args, **kwargs)
+
+    monkeypatch.setattr(training, "backprop", failing_second)
+    cfg = TrainConfig(learning_rate=1e-7, max_iters=5, c_policy=1.0,
+                      convergence_tol=0.0)
+    with pytest.raises(TrainingDivergedError, match="non-finite gradient") as info:
+        train_with_guard(model, head, data, cfg)
+    err = info.value
+    # the gradient at iteration 2 failed; halving the rate cannot help
+    assert [e.iteration for e in err.history] == [1, 2]
+    npt.assert_allclose(objective(err.model, err.head, data),
+                        err.history[-1].objective, rtol=1e-12)
+
+
+def _wide_initial(model, head, data):
+    final, _ = forward_batch(model, data.features)
+    svm_solve(final, data.labels, 1.0,
+              initial=np.zeros((head.num_classes, model.final_width + 1)))
+
+
+def _train_wide_head(model, head, data):
+    wide = ClassifierHead(np.hstack([head.normals, np.zeros((2, 1))]),
+                          head.trade_offs)
+    cfg = TrainConfig(learning_rate=1e-7, max_iters=2, c_policy=1.0)
+    train_with_guard(model, wide, data, cfg)
+
+
+@pytest.mark.parametrize("call, error", [
+    (_train_wide_head, ConfigError),
+    (_wide_initial, InputError),
+], ids=["train-with-guard-head", "svm-solve-initial"])
+def test_normals_of_the_wrong_width_are_rejected_at_entry(call, error):
+    # one column too many used to reach numpy's matmul as a raw ValueError
+    model, head, data = helpers.toy_problem(seed=48)
+    with pytest.raises(error, match="width|shape"):
+        call(model, head, data)
 
 
 def test_train_config_validation():
