@@ -17,7 +17,7 @@ import numpy as np
 
 from .builder import AnchorSet, DEFAULT_CLIP_RATIO, build_dmn
 from .dkn import DknArchitecture, dkn_classify
-from .errors import ConfigError
+from .errors import ConfigError, drawing
 from .model import ClassifierHead, classify
 
 # A row is flagged when the clock cannot resolve 1% of the measured mean.
@@ -134,14 +134,17 @@ def run_bench(arch: DknArchitecture, anchors: AnchorSet, sizes=(500, 1000, 2000,
         return low + span * rng.random((count, d))
 
     model = build_dmn(arch, anchors, clip_ratio=clip_ratio)
-    head = ClassifierHead.random(num_classes, model.final_width,
-                                 trade_off=1.0, seed=seed)
+    with drawing(f"a head of {num_classes} classes"):
+        head = ClassifierHead.random(num_classes, model.final_width,
+                                     trade_off=1.0, seed=seed)
     resolution = time.get_clock_info("perf_counter").resolution
-    queries = draw(reps)
+    with drawing(f"{reps} queries, one per repetition"):
+        queries = draw(reps)
     rows = []
     for size in sizes:
-        support = draw(size)
-        dual = rng.standard_normal((num_classes, size))
+        with drawing(f"{size} supports for {num_classes} classes"):
+            support = draw(size)
+            dual = rng.standard_normal((num_classes, size))
         bias = np.zeros(num_classes)
         dkn_classify(arch, support, dual, bias, draw(1)[0])
         times = []

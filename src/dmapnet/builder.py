@@ -21,7 +21,7 @@ from .dkn import (DknArchitecture, EXP, activation_apply, combine,
                   dkn_forward_grams)
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
-from .kernels import GramMatrix, gram_matrix, max_asymmetry
+from .kernels import gram_matrix, max_asymmetry
 from .model import ClipReport, DmnModel, DmnUnit, forward_batch
 
 # exp overflows float64 a little above this argument
@@ -87,10 +87,7 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
     ones included) are dropped.  Raises DegenerateGramError when nothing
     survives.
     """
-    if isinstance(gram, GramMatrix):
-        values = gram.values
-    else:
-        values = np.asarray(gram, dtype=np.float64)
+    values = np.asarray(getattr(gram, "values", gram), dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
         raise InputError("eigen_projection expects a non-empty square matrix")
     if not np.isfinite(values).all():

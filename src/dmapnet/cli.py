@@ -5,7 +5,8 @@ prop1-check.  Logs go to stderr; artifacts are written to files atomically.
 Exit codes: 0 success, 1 input or configuration problem, 2 numeric failure.
 
 Flag values resolve in order: explicit flag, then the JSON object given via
---config, then the built-in default.
+--config, then the built-in default.  Every key of the config must name an
+option and hold a valid value for it, even where a flag overrides it.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import sys
 import numpy as np
 
 from .bench import run_bench
-from .builder import AnchorSet, build_dmn, reconstruction_errors
+from .builder import (AnchorSet, DEFAULT_CLIP_RATIO, build_dmn,
+                      reconstruction_errors)
 from .checks import gradient_check
 from .data import (LabeledDataset, SyntheticSpec, generate_synthetic,
                    load_dataset, save_dataset)
 from .dkn import (DknArchitecture, LayerSpec, default_architecture,
                   default_input_kernels, load_architecture,
                   random_mixing_weights)
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, drawing
 from .fileio import atomic_write_text
 from .kernels import KernelSpec
 from .metrics import evaluate
@@ -48,6 +50,7 @@ def _log(message: str) -> None:
 
 # name -> (converter, default, help).  Required options use _REQUIRED.
 _REQUIRED = object()
+_CLIP_RATIO = (float, DEFAULT_CLIP_RATIO, "relative eigenvalue clip threshold")
 
 _TABLES = {
     "gen-data": {
@@ -65,7 +68,7 @@ _TABLES = {
         "anchors": (int, 100, "number of anchor samples (taken from the front)"),
         "arch": (str, None, "architecture JSON (default: built-in 3-layer)"),
         "hidden-width": (int, None, "hidden width (default: twice the inputs)"),
-        "clip-ratio": (float, 1e-10, "relative eigenvalue clip threshold"),
+        "clip-ratio": _CLIP_RATIO,
         "gamma": (float, 1.0, "rbf bandwidth of the default kernels"),
         "degree": (int, 2, "polynomial degree of the default kernels"),
         "offset": (float, 1.0, "polynomial offset of the default kernels"),
@@ -104,7 +107,7 @@ _TABLES = {
         "d": (int, 10, "feature dimension of the drawn samples"),
         "classes": (int, 5, "classifier width"),
         "seed": (int, 0, "seed for all drawn samples"),
-        "clip-ratio": (float, 1e-10, "relative eigenvalue clip threshold"),
+        "clip-ratio": _CLIP_RATIO,
     },
     "prop1-check": {
         "anchors": (int, 100, "anchor count"),
@@ -112,7 +115,7 @@ _TABLES = {
         "scale": (float, 0.05, "anchor feature scale; keeps layer grams "
                                "positive semidefinite"),
         "seed": (int, 0, "seed for anchors and mixing weights"),
-        "clip-ratio": (float, 1e-10, "relative eigenvalue clip threshold"),
+        "clip-ratio": _CLIP_RATIO,
         "tol": (float, 1e-6, "largest acceptable per-unit relative error"),
     },
 }
@@ -152,21 +155,23 @@ def _resolve(args, command: str) -> dict:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     out = {}
     for name, (conv, default, _) in table.items():
-        value = getattr(args, name.replace("-", "_"))
-        if value is None and name in config:
-            # no flag takes true, nor 30.9 for an integer; int() would take both
+        if name in config:
+            # no flag takes null or true, nor 30.9 for an integer; str() and
+            # int() would take them
             raw = config[name]
-            if isinstance(raw, bool) or (conv is int and type(raw) is not int):
-                raise ConfigError(f"config key {name!r}: {raw!r} is not a valid "
-                                  f"{conv.__name__}")
+            if (raw is None or isinstance(raw, bool)
+                    or (conv is int and type(raw) is not int)):
+                raise ConfigError(f"config key {name!r}: {json.dumps(raw)} is "
+                                  f"not a valid {conv.__name__}")
             try:
-                value = conv(raw)
+                config[name] = conv(raw)
             except (TypeError, ValueError, OverflowError) as err:
                 raise ConfigError(f"config key {name!r}: {err}") from err
+        value = getattr(args, name.replace("-", "_"))
         if value is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required option --{name}")
-            value = default
+            value = config.get(name, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required option --{name}")
         out[name.replace("-", "_")] = value
     if out.get("anchors", 2) < 2:
         raise ConfigError(f"--anchors must be at least 2, got {out['anchors']}")
@@ -324,10 +329,17 @@ def _cmd_gradcheck(opts) -> int:
     return 0
 
 
+def _anchor_samples(opts, draw) -> np.ndarray:
+    """``draw((anchors, d))``; a draw too large is a ConfigError."""
+    shape = (opts["anchors"], opts["d"])
+    with drawing(f"{shape[0]} x {shape[1]} anchor samples (--anchors x --d)"):
+        return draw(shape)
+
+
 def _cmd_bench(opts) -> int:
     sizes = _parse_int_list(opts["sizes"], "sizes")
     rng = np.random.default_rng(opts["seed"])
-    anchors = AnchorSet(samples=rng.random((opts["anchors"], opts["d"])))
+    anchors = AnchorSet(samples=_anchor_samples(opts, rng.random))
     kernels = default_input_kernels()
     arch = default_architecture(kernels, seed=opts["seed"])
     report = run_bench(arch, anchors, sizes=sizes, reps=opts["reps"],
@@ -344,8 +356,8 @@ def _cmd_prop1_check(opts) -> int:
     if not opts["scale"] > 0:
         raise ConfigError("scale must be positive")
     rng = np.random.default_rng(opts["seed"])
-    anchors = AnchorSet(
-        samples=rng.uniform(0.0, opts["scale"], (opts["anchors"], opts["d"])))
+    anchors = AnchorSet(samples=_anchor_samples(
+        opts, lambda shape: rng.uniform(0.0, opts["scale"], shape)))
     kernels = default_input_kernels()
     arch = default_architecture(kernels, seed=opts["seed"])
     model = build_dmn(arch, anchors, clip_ratio=opts["clip_ratio"])

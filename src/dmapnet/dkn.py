@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, drawing
 from .kernels import GramMatrix, KernelSpec, _is_whole, block_rows, eval_kernel
 
 TANH = "tanh"
@@ -183,11 +183,8 @@ def random_mixing_weights(width: int, prev_width: int, rng) -> np.ndarray:
 
 def _drawn_weights(width: int, prev_width: int, rng, layer: int) -> np.ndarray:
     """``random_mixing_weights``; a draw too large is a ConfigError."""
-    try:
+    with drawing(f"layer {layer}'s {width} x {prev_width} mixing weights"):
         return random_mixing_weights(width, prev_width, rng)
-    except (MemoryError, ValueError) as err:
-        raise ConfigError(f"layer {layer}: cannot draw {width} x {prev_width} "
-                          f"mixing weights: {err}") from err
 
 
 def default_architecture(input_kernels, hidden_width: int | None = None,
@@ -255,32 +252,28 @@ def combine(weights, terms) -> list:
 def dkn_forward_grams(arch: DknArchitecture, input_grams) -> list:
     """Per-layer, per-unit gram matrices over a fixed sample set.
 
-    ``input_grams`` holds one GramMatrix (or plain square array) per input
-    kernel, all over the same samples.  Returns a list of layers; layer 0
-    echoes the inputs, later layers hold the combined, activated grams.
+    ``input_grams`` holds one GramMatrix (or plain array) per input kernel,
+    all square and of one size, each over the same samples.  Returns a list
+    of layers; layer 0 echoes the inputs, later layers hold the combined,
+    activated grams.
     """
     n1 = len(arch.input_kernels)
     if len(input_grams) != n1:
         raise InputError(
             f"expected {n1} input grams, got {len(input_grams)}"
         )
-    normalized = []
-    ids = None
-    for gm in input_grams:
-        if not isinstance(gm, GramMatrix):
-            gm = GramMatrix(np.asarray(gm, dtype=np.float64))
-        if ids is None:
-            ids = gm.row_ids
-        if gm.row_ids != ids or gm.col_ids != ids:
-            raise InputError("input grams must share one sample id list")
-        normalized.append(gm)
+    normalized = [gm if isinstance(gm, GramMatrix) else GramMatrix(gm)
+                  for gm in input_grams]
+    n = normalized[0].shape[0]
+    if any(gm.shape != (n, n) for gm in normalized):
+        raise InputError("input grams must be square and of one size, got "
+                         + ", ".join(str(gm.shape) for gm in normalized))
     layered = [normalized]
     values = [gm.values for gm in normalized]
     for layer in arch.layers:
-        new_values = [activation_apply(layer.activation, pre, out=pre)
-                      for pre in combine(layer.weights, values)]
-        layered.append([GramMatrix(v, ids, ids) for v in new_values])
-        values = new_values
+        values = [activation_apply(layer.activation, pre, out=pre)
+                  for pre in combine(layer.weights, values)]
+        layered.append([GramMatrix(v) for v in values])
     return layered
 
 

@@ -7,6 +7,8 @@ command-line driver maps the first family to exit code 1 and the second to
 exit code 2.
 """
 
+from contextlib import contextmanager
+
 
 class DmapnetError(Exception):
     """Base class for all library errors."""
@@ -62,3 +64,13 @@ class TrainingDivergedError(NumericError):
         self.model = model
         self.head = head
         self.history = history if history is not None else []
+
+
+@contextmanager
+def drawing(what: str):
+    """Turn numpy's refusal of an array it cannot hold, which it raises
+    before allocating, into a ConfigError saying what could not be drawn."""
+    try:
+        yield
+    except (MemoryError, ValueError) as err:
+        raise ConfigError(f"cannot draw {what}: {err}") from err

@@ -6,13 +6,15 @@ in ascending feature order.  The core works through row blocks of about
 cache, and it reads the second sample set's features as contiguous rows.
 Neither changes any entry's arithmetic.  A single pair evaluation is the 1x1
 case of the same core, so a full gram matrix and per-pair evaluations
-perform identical arithmetic, entry for entry.
+perform identical arithmetic, entry for entry.  Entry (i, j) sees the same
+operations as entry (j, i), so a gram over one sample set is exactly
+symmetric.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +26,6 @@ RBF = "rbf"
 HISTOGRAM_INTERSECTION = "histogram_intersection"
 
 KERNEL_KINDS = (LINEAR, POLYNOMIAL, RBF, HISTOGRAM_INTERSECTION)
-
-# Maximum allowed asymmetry for a gram over a single sample set.
-SYMMETRY_TOL = 1e-10
 
 # Row blocks of about this many bytes keep a block's accumulator, its
 # temporaries and the rows it reads in a core's L2 cache.  128-512 KB ran
@@ -113,39 +112,21 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Kernel values between two indexed sample lists.
+    """Kernel values between two sample lists: a finite 2-D float array.
 
-    Passing the same non-empty ids for both axes claims that rows and
-    columns index one sample list; such a gram must be symmetric to within
-    ``SYMMETRY_TOL``.  Omitted ids default to positional integers without
-    making that claim, so a square cross gram between two different sample
-    lists is accepted.  Every entry must be finite.
+    Symmetry is not checked here; ``builder.eigen_projection``, the one step
+    that needs it, checks it.
     """
 
     values: np.ndarray
-    row_ids: tuple = field(default=())
-    col_ids: tuple = field(default=())
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise InputError("gram values must form a 2-D matrix")
-        shared = bool(self.row_ids) and tuple(self.row_ids) == tuple(self.col_ids)
-        row_ids = tuple(self.row_ids) if self.row_ids else tuple(range(values.shape[0]))
-        col_ids = tuple(self.col_ids) if self.col_ids else tuple(range(values.shape[1]))
-        object.__setattr__(self, "row_ids", row_ids)
-        object.__setattr__(self, "col_ids", col_ids)
-        if len(row_ids) != values.shape[0] or len(col_ids) != values.shape[1]:
-            raise InputError("id lists must match the gram shape")
         if not np.isfinite(values).all():
             raise InputError("gram matrix contains non-finite entries")
-        if shared:
-            asym = max_asymmetry(values)
-            if asym > SYMMETRY_TOL:
-                raise InputError(
-                    f"gram with identical ids must be symmetric; max asymmetry {asym:.3e}"
-                )
 
     @property
     def shape(self) -> tuple:
@@ -218,18 +199,13 @@ def _sample_pair(spec: KernelSpec, X, Y, names: str) -> tuple:
 
 # overflow yields inf or nan silently; GramMatrix rejects non-finite entries
 @np.errstate(over="ignore", invalid="ignore")
-def gram_matrix(spec: KernelSpec, X, Y=None, *, row_ids=None,
-                col_ids=None) -> GramMatrix:
+def gram_matrix(spec: KernelSpec, X, Y=None) -> GramMatrix:
     """Kernel values between every row of ``X`` and every row of ``Y``.
 
-    ``Y=None`` means ``Y = X``.
+    ``Y=None`` means ``Y = X``; that gram is exactly symmetric.
     """
     X, Y = _sample_pair(spec, X, Y, "XY")
-    values = _gram_block(spec, X, Y)
-    if Y is X and col_ids is None:
-        # both axes index the same samples; claim it so symmetry is checked
-        col_ids = row_ids = tuple(row_ids) if row_ids else tuple(range(X.shape[0]))
-    return GramMatrix(values, row_ids or (), col_ids or ())
+    return GramMatrix(_gram_block(spec, X, Y))
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:

@@ -61,3 +61,15 @@ def test_summary_gap_must_exceed_the_base_iqr():
     q1, _, q3 = up["base_quartiles"]
     assert q3 - q1 > 1
     assert not up["gap_exceeds_base_iqr"]
+
+
+def test_pair_ratios_see_a_gain_through_drift():
+    # the machine slows 2x across the series; the change is 10% faster in
+    # every pair, but the base's spread hides it from the medians
+    base = [100.0 + 100.0 * k / 9 for k in range(10)]
+    change = [1.1 * b for b in base]
+    up = bench_pairs.summarize(_pairs(base, change, "samples_per_s"),
+                               METRICS[:1])["samples_per_s"]
+    assert up["wins"] == 10
+    assert not up["gap_exceeds_base_iqr"]
+    assert up["ratio_quartiles"] == pytest.approx([1.1, 1.1, 1.1])

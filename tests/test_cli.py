@@ -271,11 +271,30 @@ def test_gen_data_unrepresentable_sizes_are_exit_one(tmp_path, capsys, config):
     '{"seed": 1.5}',
     '{"seed": true}',
     '{"noise": false}',
-], ids=["fractional-n", "fractional-seed", "boolean-seed", "boolean-noise"])
+    '{"out": null}',
+], ids=["fractional-n", "fractional-seed", "boolean-seed", "boolean-noise",
+        "null-out"])
 def test_gen_data_config_values_are_not_coerced(tmp_path, capsys, config):
-    # the flags reject "30.9" for an integer and "true" for any option, so
-    # the config must not truncate or coerce them either
+    # the flags reject "30.9" for an integer and "true" for any option, and
+    # give no option null, so the config must not truncate or coerce them
+    # either, even where a flag overrides the value
     _assert_gen_data_config_is_exit_one(tmp_path, capsys, config)
+
+
+def test_train_config_null_log_is_exit_one(tmp_path, monkeypatch, capsys):
+    # str(None) would name the objective log "None"
+    data_path, model_path = _small_model(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text('{"log": null}')
+    out = tmp_path / "trained.bin"
+    capsys.readouterr()
+    assert main(["train", "--config", "config.json", "--model",
+                 str(model_path), "--data", str(data_path), "--out", str(out),
+                 "--c", "1", "--max-iters", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "None").exists()
 
 
 def test_build_more_anchors_than_samples(tmp_path, capsys):
@@ -358,6 +377,25 @@ def test_bench_rejects_too_few_anchors(tmp_path, capsys):
     assert not (tmp_path / "bench.tsv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["prop1-check", "--anchors", str(10**15)],
+    ["prop1-check", "--d", str(10**15)],
+    ["bench", "--anchors", str(10**15)],
+    ["bench", "--sizes", str(10**15), "--anchors", "10", "--d", "3"],
+    ["bench", "--classes", str(10**15), "--anchors", "10", "--d", "3"],
+], ids=["prop1-anchors", "prop1-d", "bench-anchors", "bench-sizes",
+        "bench-classes"])
+def test_oversize_draws_are_exit_one(tmp_path, capsys, args):
+    # numpy refuses each array before allocating it
+    if args[0] == "bench":
+        args = args + ["--out", str(tmp_path / "bench")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot draw ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "bench.tsv").exists()
+
+
 def test_missing_dataset_file_is_exit_one(tmp_path, capsys):
     assert main(["build-dmn", "--data", str(tmp_path / "nope.tsv"),
                  "--out", str(tmp_path / "m.bin")]) == 1
@@ -392,7 +430,14 @@ _CONFIG_FUZZ_BASES = {
     "build-dmn": {"data": "data.tsv", "out": "model.bin", "anchors": 6,
                   "hidden-width": 3, "clip-ratio": 1e-10, "gamma": 1.0,
                   "degree": 2, "offset": 1.0, "seed": 1},
+    "eval": {"model": "trained.bin", "data": "data.tsv", "out": "report.json"},
+    "prop1-check": {"anchors": 6, "d": 3, "scale": 0.05, "seed": 1,
+                    "clip-ratio": 1e-10, "tol": 1e-6},
 }
+
+# bench is left out: a large "reps" is a long run, not a fault
+_CONFIG_FUZZ_COMMANDS = (["build-dmn", "gen-data"] * 300
+                         + ["eval", "prop1-check"] * 150)
 
 
 def test_cli_config_survives_seeded_fuzz(tmp_path, monkeypatch, capsys):
@@ -402,10 +447,13 @@ def test_cli_config_survives_seeded_fuzz(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["gen-data", "--out", "data.tsv", "--n", "12", "--d", "3",
                  "--k", "2", "--seed", "5"]) == 0
+    assert main(["build-dmn", "--data", "data.tsv", "--out", "base.bin",
+                 "--anchors", "6", "--seed", "5"]) == 0
+    assert main(["train", "--model", "base.bin", "--data", "data.tsv",
+                 "--out", "trained.bin", "--max-iters", "2", "--c", "1"]) == 0
     rng = np.random.default_rng(59)
-    codes = set()
-    for case in range(600):
-        command = sorted(_CONFIG_FUZZ_BASES)[case % 2]
+    codes = {}
+    for command in _CONFIG_FUZZ_COMMANDS:
         config = json.loads(json.dumps(_CONFIG_FUZZ_BASES[command]))
         helpers.one_field_edit(rng, _CONFIG_FUZZ_VALUES)(config)
         (tmp_path / "config.json").write_text(json.dumps(config))
@@ -415,6 +463,6 @@ def test_cli_config_survives_seeded_fuzz(tmp_path, monkeypatch, capsys):
             pytest.fail(f"{type(err).__name__} escaped for {command} "
                         f"{json.dumps(config)}: {err}")
         assert code in (0, 1, 2), f"{command} {json.dumps(config)}"
-        codes.add(code)
+        codes.setdefault(command, set()).add(code)
         capsys.readouterr()
-    assert {0, 1} <= codes
+    assert all({0, 1} <= found for found in codes.values()), codes

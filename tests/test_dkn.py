@@ -229,16 +229,21 @@ def test_forward_grams_layer_ranges():
     assert (layered[2][0].values > 0).all()  # exp output
 
 
-def test_forward_grams_id_mismatch():
+def test_forward_grams_shape_mismatch():
     rng = np.random.default_rng(6)
-    X = rng.uniform(0.0, 1.0, size=(4, 3))
+    X3 = rng.uniform(0.0, 1.0, size=(3, 3))
+    X4 = rng.uniform(0.0, 1.0, size=(4, 3))
     arch = helpers.toy_arch(rng)
-    g1 = gram_matrix(arch.input_kernels[0], X, row_ids=("a", "b", "c", "d"))
-    g2 = gram_matrix(arch.input_kernels[1], X)  # default integer ids
-    with pytest.raises(InputError):
-        dkn_forward_grams(arch, [g1, g2])
-    with pytest.raises(InputError):
-        dkn_forward_grams(arch, [g1])
+    k1, k2 = arch.input_kernels
+    g3 = gram_matrix(k1, X3)
+    g4 = gram_matrix(k2, X4)
+    with pytest.raises(InputError, match="expected 2 input grams"):
+        dkn_forward_grams(arch, [g4])
+    for grams in ([g3, g4],                            # unequal sizes
+                  [gram_matrix(k1, X3, X4), g4],       # a cross gram
+                  [np.ones((3, 4)), np.ones((3, 4))]):  # a plain 3x4 array
+        with pytest.raises(InputError, match="square and of one size"):
+            dkn_forward_grams(arch, grams)
 
 
 def test_dkn_classify_matches_manual_dual_sum():

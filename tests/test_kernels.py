@@ -8,7 +8,7 @@ import pytest
 
 from dmapnet import (ConfigError, GramMatrix, InputError, KernelSpec,
                      eval_kernel, gram_matrix)
-from dmapnet.kernels import block_rows
+from dmapnet.kernels import KERNEL_KINDS, block_rows, max_asymmetry
 
 ALL_SPECS = [
     KernelSpec("linear"),
@@ -99,23 +99,19 @@ def test_self_gram_symmetric_and_psd():
 
 def test_gram_ids_and_shape():
     X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    gm = gram_matrix(KernelSpec("linear"), X, row_ids=("a", "b", "c"))
-    assert gm.row_ids == ("a", "b", "c")
-    assert gm.col_ids == ("a", "b", "c")
+    gm = gram_matrix(KernelSpec("linear"), X)
     assert gm.shape == (3, 3)
 
 
 def test_gram_matrix_container_validation():
     with pytest.raises(InputError):
-        # shared ids claim one sample list, so asymmetry is an error
-        GramMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]), ("a", "b"), ("a", "b"))
-    with pytest.raises(InputError):
         GramMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(InputError):
-        GramMatrix(np.zeros((2, 3)), row_ids=("a",), col_ids=("x", "y"))
-    # different ids: rectangular and asymmetric values are fine
-    GramMatrix(np.ones((2, 3)), row_ids=("a", "b"), col_ids=("x", "y", "z"))
-    GramMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))  # no shared-id claim
+        GramMatrix(np.zeros(3))
+    # rectangular and asymmetric values are fine; eigen_projection checks
+    # symmetry where it is needed
+    GramMatrix(np.ones((2, 3)))
+    GramMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_square_cross_gram_between_distinct_sets_is_accepted():
@@ -124,9 +120,17 @@ def test_square_cross_gram_between_distinct_sets_is_accepted():
     Y = rng.random((5, 3))
     gm = gram_matrix(KernelSpec("rbf", gamma=0.5), X, Y)
     assert gm.shape == (5, 5)
-    # the self gram still claims shared ids and checks symmetry
-    self_gm = gram_matrix(KernelSpec("rbf", gamma=0.5), X)
-    assert self_gm.row_ids == self_gm.col_ids
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_self_gram_is_exactly_symmetric_across_row_blocks(kind):
+    # entry (i, j) sees the same operations as entry (j, i), so no
+    # symmetry check is needed on a self gram; 200 rows span two blocks
+    X = np.random.default_rng(21).random((200, 5))
+    assert block_rows(200) < 200
+    values = gram_matrix(KernelSpec(kind), X).values
+    assert max_asymmetry(values) == 0.0
+    assert np.array_equal(values, values.T)
 
 
 def test_eval_kernel_is_symmetric():

@@ -12,8 +12,11 @@ seed to seed.  The
 result goes to ``BENCH_<workload>.json`` (or ``--out``): every run's
 end-to-end metrics with its ``attempted`` and ``failed`` counts and its
 ``# provenance`` line, and for each metric both sides' quartiles, the pairs
-the working tree won (ties count for neither side), and whether the gap
-between the medians exceeds the base's interquartile range.
+the working tree won (ties count for neither side), whether the gap
+between the medians exceeds the base's interquartile range, and the
+quartiles of the per-pair ``change / base`` ratios.  The two runs of a pair
+share the machine's state at that moment, so the ratios show a change even
+when the machine drifts across the series more than the change moves it.
 """
 
 from __future__ import annotations
@@ -57,8 +60,10 @@ def quartiles(values) -> list:
 
 
 def summarize(pairs, metrics) -> dict:
-    """Per metric: both sides' quartiles, the change's wins and whether the
-    median gap in the metric's better direction exceeds the base's IQR.
+    """Per metric: both sides' quartiles, the change's wins, whether the
+    median gap in the metric's better direction exceeds the base's IQR, and
+    the quartiles of the per-pair ``change / base`` ratios (None when a base
+    value is 0).
 
     ``pairs`` holds one ``{"base": {...}, "change": {...}}`` per seed, each
     side mapping metric names to values; ``metrics`` holds ``BENCHMARK.json``
@@ -81,6 +86,8 @@ def summarize(pairs, metrics) -> dict:
             "wins": wins,
             "pairs": len(pairs),
             "gap_exceeds_base_iqr": gain > bq[2] - bq[0],
+            "ratio_quartiles": (quartiles([c / b for b, c in zip(base, change)])
+                                if all(base) else None),
         }
     return summary
 
@@ -174,9 +181,11 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     for name, s in summary.items():
+        ratio = s["ratio_quartiles"]
         print(f"{name}: base {s['base_quartiles'][1]:.6g} change "
               f"{s['change_quartiles'][1]:.6g} wins {s['wins']}/{s['pairs']} "
-              f"gap>IQR {s['gap_exceeds_base_iqr']}")
+              f"gap>IQR {s['gap_exceeds_base_iqr']} median ratio "
+              f"{ratio[1] if ratio else float('nan'):.4g}")
     return 0
 
 
