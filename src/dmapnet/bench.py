@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,28 +65,12 @@ class BenchReport:
             )
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "anchor_count": self.anchor_count,
-            "num_classes": self.num_classes,
-            "notes": self.notes,
-            "timer_resolution": self.timer_resolution,
-            "rows": [
-                {
-                    "framework": r.framework,
-                    "support_size": r.support_size,
-                    "mean_seconds": r.mean_seconds,
-                    "std_seconds": r.std_seconds,
-                    "median_seconds": r.median_seconds,
-                    "repetitions": r.repetitions,
-                    "unreliable": r.unreliable,
-                }
-                for r in self.rows
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        obj = {"anchor_count": self.anchor_count,
+               "num_classes": self.num_classes, "notes": self.notes,
+               "timer_resolution": self.timer_resolution,
+               "rows": [asdict(r) for r in self.rows]}
+        return json.dumps(obj, indent=2) + "\n"
 
     def mean_of(self, framework: str, size: int) -> float:
         for r in self.rows:

@@ -22,7 +22,8 @@ from .dkn import (DknArchitecture, EXP, activation_apply, combine,
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
 from .kernels import gram_matrix, max_asymmetry
-from .model import ClipReport, DmnModel, DmnUnit, forward_batch
+from .model import (ClipReport, DmnModel, DmnUnit, anchor_id_tuple,
+                    forward_batch)
 
 # exp overflows float64 a little above this argument
 EXP_ARG_LIMIT = 700.0
@@ -46,12 +47,8 @@ class AnchorSet:
             raise InputError("at least two anchor samples are required")
         if not np.isfinite(samples).all():
             raise InputError("anchor samples must be finite")
-        ids = tuple(self.ids) if self.ids else tuple(range(samples.shape[0]))
-        object.__setattr__(self, "ids", ids)
-        if len(ids) != samples.shape[0]:
-            raise InputError("anchor ids must match the sample count")
-        if len(set(ids)) != len(ids):
-            raise InputError("anchor ids must be unique")
+        object.__setattr__(self, "ids",
+                           anchor_id_tuple(self.ids, samples.shape[0]))
 
     @property
     def count(self) -> int:

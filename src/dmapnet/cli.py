@@ -251,8 +251,6 @@ def _cmd_train(opts) -> int:
     if head is None:
         head = ClassifierHead.random(data.num_classes, model.final_width,
                                      trade_off=c_policy, seed=opts["seed"])
-    else:
-        head.trade_offs = np.asarray(c_policy, dtype=np.float64)
     cfg = TrainConfig(learning_rate=opts["eta"], max_iters=opts["max_iters"],
                       c_policy=c_policy, convergence_tol=opts["tol"],
                       seed=opts["seed"])

@@ -1,10 +1,11 @@
 """Deep kernel networks: recursive nonlinear combinations of base kernels.
 
 A network has an input layer of base kernels and one or more combination
-layers.  Unit p of layer l computes ``g(sum_q w[p, q] * k_q(x, x'))`` over
-the units of the layer below, with nonnegative mixing weights and an
-activation g in {tanh, exp, identity}.  Everything here works on implicit
-kernel values; the explicit map construction lives in ``builder``.
+layers, the last of which is one unit: the network's kernel.  Unit p of
+layer l computes ``g(sum_q w[p, q] * k_q(x, x'))`` over the units of the
+layer below, with nonnegative mixing weights and an activation g in
+{tanh, exp, identity}.  Everything here works on implicit kernel values;
+the explicit map construction lives in ``builder``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class LayerSpec:
 
 @dataclass
 class DknArchitecture:
-    """Input kernels plus combination layers.
+    """Input kernels plus combination layers, the last of exactly one unit.
 
     Layer numbering is 1-based in messages: layer 1 is the input kernel
     layer, ``layers[0]`` is layer 2, and so on.
@@ -115,6 +116,11 @@ class DknArchitecture:
                     f"but the layer below has {prev} units"
                 )
             prev = layer.width
+        if prev != 1:
+            raise ConfigError(
+                f"layer {self.num_layers} is the output layer and must have "
+                f"exactly one unit, got {prev}"
+            )
 
     @property
     def num_layers(self) -> int:
@@ -123,10 +129,6 @@ class DknArchitecture:
     @property
     def widths(self) -> list:
         return [len(self.input_kernels)] + [layer.width for layer in self.layers]
-
-    @property
-    def output_width(self) -> int:
-        return self.layers[-1].width
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,7 +280,7 @@ def dkn_forward_grams(arch: DknArchitecture, input_grams) -> list:
 
 
 def dkn_pair(arch: DknArchitecture, x, y) -> float:
-    """Network kernel value for one sample pair (output unit 1)."""
+    """Network kernel value for one sample pair."""
     kappa = [eval_kernel(spec, x, y) for spec in arch.input_kernels]
     for layer in arch.layers:
         kappa = [float(activation_apply(layer.activation, pre))

@@ -52,10 +52,10 @@ class DmnUnit:
     ``anchors`` is the unit's anchor map, also ``(anchor_count, width)``:
     built as the unit's map of the anchor samples, it holds the rows every
     unit of the layer above takes inner products with, and it is a free
-    parameter during training.  Units of the last layer feed only the head
-    and hold ``(anchor_count, 0)`` anchors.  The activation and, for input
-    units, the base kernel belong to the unit's layer and are read from the
-    model's architecture.
+    parameter during training.  The last layer's one unit feeds only the
+    head and holds ``(anchor_count, 0)`` anchors.  The activation and, for
+    input units, the base kernel belong to the unit's layer and are read
+    from the model's architecture.
     """
 
     anchors: np.ndarray
@@ -75,6 +75,25 @@ class DmnUnit:
     @property
     def width(self) -> int:
         return self.projection.shape[1]
+
+
+def anchor_id_tuple(ids, count: int) -> tuple:
+    """``ids`` as a tuple, or ``0 .. count - 1`` when it is empty.
+
+    Anchor ids are what a model file can record: a list or tuple of unique
+    strings or integers (not booleans), one per anchor sample.
+    """
+    if (not isinstance(ids, (list, tuple))
+            or any(type(i) not in (str, int) for i in ids)):
+        raise ConfigError("anchor_ids must be a list or tuple of strings or "
+                          "integers")
+    ids = tuple(ids) or tuple(range(count))
+    if len(ids) != count:
+        raise ConfigError(f"anchor_ids must match the anchor sample count "
+                          f"({count}), got {len(ids)}")
+    if len(set(ids)) != count:
+        raise ConfigError("anchor_ids must be unique")
+    return ids
 
 
 @dataclass
@@ -97,11 +116,7 @@ class DmnModel:
         self.anchor_samples = np.asarray(self.anchor_samples, dtype=np.float64)
         if self.anchor_samples.ndim != 2:
             raise ConfigError("anchor samples must be 2-D")
-        if not self.anchor_ids:
-            self.anchor_ids = tuple(range(self.anchor_samples.shape[0]))
-        self.anchor_ids = tuple(self.anchor_ids)
-        if len(self.anchor_ids) != self.anchor_samples.shape[0]:
-            raise ConfigError("anchor ids must match the anchor sample count")
+        self.anchor_ids = anchor_id_tuple(self.anchor_ids, self.anchor_count)
         _check_shapes(self)
 
     @property
@@ -153,7 +168,9 @@ class ClassifierHead:
         if self.normals.ndim != 2:
             raise ConfigError("head normals must be 2-D (classes x map width)")
         if self.trade_offs.shape != (self.normals.shape[0],):
-            raise ConfigError("one trade-off per class is required")
+            raise ConfigError(
+                f"one trade-off per class ({self.normals.shape[0]}) is "
+                f"required, got shape {self.trade_offs.shape}")
         if not np.isfinite(self.normals).all():
             raise ConfigError("head normals must be finite")
         if not (self.trade_offs > 0).all():
@@ -164,18 +181,16 @@ class ClassifierHead:
         return self.normals.shape[0]
 
     @classmethod
-    def zeros(cls, num_classes: int, width: int, trade_off=1.0) -> "ClassifierHead":
-        return cls(np.zeros((num_classes, width)),
-                   np.broadcast_to(np.asarray(trade_off, dtype=np.float64),
-                                   (num_classes,)).copy())
-
-    @classmethod
     def random(cls, num_classes: int, width: int, trade_off=1.0, seed: int = 0,
                scale: float = 0.01) -> "ClassifierHead":
+        """Normals drawn from ``N(0, scale**2)``; ``trade_off`` is one value
+        for every class or one per class."""
         rng = np.random.default_rng(seed)
+        trade_offs = np.array(trade_off, dtype=np.float64)
+        if trade_offs.ndim == 0:
+            trade_offs = np.full(num_classes, trade_offs)
         return cls(scale * rng.standard_normal((num_classes, width)),
-                   np.broadcast_to(np.asarray(trade_off, dtype=np.float64),
-                                   (num_classes,)).copy())
+                   trade_offs)
 
 
 @dataclass
@@ -223,7 +238,7 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
     """Map a batch of samples through every unit.
 
     Returns ``(final_maps, trace)`` where ``final_maps`` is the output of
-    the last layer's first unit and ``trace`` is a BatchTrace with every
+    the last layer's one unit and ``trace`` is a BatchTrace with every
     activated inner-product matrix and map.
     """
     if kernel_rows is None:
@@ -267,14 +282,7 @@ def check_head_width(model: DmnModel, head: ClassifierHead) -> None:
 
 
 def score_batch(model: DmnModel, head: ClassifierHead, X) -> np.ndarray:
-    """Scores for a batch of samples, one row per sample.
-
-    The head must match a final layer of exactly one unit.
-    """
-    if len(model.layers[-1]) != 1:
-        raise ConfigError(
-            "classification requires a final layer with exactly one unit"
-        )
+    """Scores for a batch of samples, one row per sample."""
     check_head_width(model, head)
     final, _ = forward_batch(model, X)
     return final @ head.normals.T
@@ -453,7 +461,7 @@ def load_model(path) -> tuple:
         head_meta = header["head"]
         classes = (None if head_meta is None
                    else _count(head_meta["classes"], "head classes"))
-        anchor_ids = tuple(header["anchor_ids"])
+        anchor_ids = anchor_id_tuple(header["anchor_ids"], n)
     except KeyError as err:
         raise FormatError(f"model header missing field: {err}") from err
     except (TypeError, ValueError) as err:

@@ -237,7 +237,7 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
     grads = {(id(unit), "anchors"): np.zeros_like(unit.anchors)
              for unit in model.layers[-1]}
 
-    d_out = [G] + [np.zeros_like(out) for out in batch.out[-1][1:]]
+    d_out = [G]
     for l in range(len(model.layers) - 1, 0, -1):
         spec = model.arch.layers[l - 1]
         ds = []

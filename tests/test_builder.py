@@ -99,6 +99,9 @@ def test_anchor_set_validation():
         AnchorSet(samples=np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(InputError):
         AnchorSet(samples=np.ones((3, 2)), ids=("a", "a", "b"))
+    for ids in (([1], [2], {}), tuple(np.arange(3)), (True, 0, 1)):
+        with pytest.raises(InputError, match="strings or integers"):
+            AnchorSet(samples=np.ones((3, 2)), ids=ids)
     anchors = AnchorSet(samples=np.ones((3, 2)))
     assert anchors.count == 3 and anchors.ids == (0, 1, 2)
 

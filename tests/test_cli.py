@@ -433,11 +433,17 @@ _CONFIG_FUZZ_BASES = {
     "eval": {"model": "trained.bin", "data": "data.tsv", "out": "report.json"},
     "prop1-check": {"anchors": 6, "d": 3, "scale": 0.05, "seed": 1,
                     "clip-ratio": 1e-10, "tol": 1e-6},
+    "train": {"model": "base.bin", "data": "data.tsv", "out": "retrained.bin",
+              "log": "train.log", "eta": 1e-6, "max-iters": 2, "tol": 1e-6,
+              "c": 1.0, "cv-folds": 3, "cv-grid": "0.01,0.1,1,10", "seed": 1},
 }
 
-# bench is left out: a large "reps" is a long run, not a fault
+# bench is left out: a large "reps" is a long run, not a fault.  train runs
+# with --max-iters 2 on the command line for the same reason; a fuzzed
+# max-iters in its config is still validated
 _CONFIG_FUZZ_COMMANDS = (["build-dmn", "gen-data"] * 300
-                         + ["eval", "prop1-check"] * 150)
+                         + ["eval", "prop1-check"] * 150 + ["train"] * 150)
+_CONFIG_FUZZ_FLAGS = {"train": ["--max-iters", "2"]}
 
 
 def test_cli_config_survives_seeded_fuzz(tmp_path, monkeypatch, capsys):
@@ -458,7 +464,8 @@ def test_cli_config_survives_seeded_fuzz(tmp_path, monkeypatch, capsys):
         helpers.one_field_edit(rng, _CONFIG_FUZZ_VALUES)(config)
         (tmp_path / "config.json").write_text(json.dumps(config))
         try:
-            code = main([command, "--config", "config.json"])
+            code = main([command, "--config", "config.json",
+                         *_CONFIG_FUZZ_FLAGS.get(command, [])])
         except Exception as err:  # noqa: BLE001 - report the escaping input
             pytest.fail(f"{type(err).__name__} escaped for {command} "
                         f"{json.dumps(config)}: {err}")

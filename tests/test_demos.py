@@ -1,7 +1,9 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script, and the README's Python quick start, runs to
+completion against the library in src/."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,9 +13,23 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = _run([str(script)])
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_block_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        done = _run(["-c", block])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout

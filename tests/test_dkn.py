@@ -70,7 +70,6 @@ def test_architecture_validation_and_shapes():
     arch = default_architecture(kernels, seed=1)
     assert arch.num_layers == 3
     assert arch.widths == [4, 8, 1]
-    assert arch.output_width == 1
     with pytest.raises(ConfigError):
         DknArchitecture(input_kernels=[], layers=arch.layers)
     with pytest.raises(ConfigError):

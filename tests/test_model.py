@@ -17,6 +17,7 @@ from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
                      default_input_kernels, forward_batch, input_kernel_rows,
                      load_model, random_mixing_weights, save_model,
                      score_batch)
+from dmapnet.cli import main
 from dmapnet.model import MODEL_MAGIC, MODEL_VERSION, _model_matrices
 
 
@@ -98,7 +99,7 @@ def test_forward_batch_holds_one_lower_product_at_a_time():
 def test_classify_sign_convention():
     model = helpers.toy_model(seed=12)
     width = model.final_width
-    head = ClassifierHead.zeros(3, width)
+    head = ClassifierHead(np.zeros((3, width)), np.ones(3))
     x = np.random.default_rng(13).uniform(0.0, 0.5, size=3)
     scores, labels = classify(model, head, x)
     assert (scores == 0.0).all()
@@ -119,21 +120,40 @@ def test_score_batch_matches_classify():
         npt.assert_allclose(scores[i], si, rtol=1e-12, atol=1e-15)
 
 
-def test_scoring_rejects_multi_unit_final_layer():
-    # a two-unit exp final layer: batch and single-sample scoring both refuse
-    # it rather than silently scoring its first unit
+def test_two_unit_last_layer_is_refused_at_every_entry_point(tmp_path, capsys):
+    # a network has one output unit: the architecture refuses a wider last
+    # layer, whether it comes from code, an architecture file or a model file
     rng = np.random.default_rng(21)
-    arch = helpers.toy_arch(rng)
-    arch.layers[-1] = LayerSpec(width=2, activation="exp",
-                                weights=random_mixing_weights(2, 3, rng))
-    anchors = AnchorSet(samples=rng.uniform(0.0, 0.5, size=(6, 3)))
-    model = build_dmn(arch, anchors)
-    head = ClassifierHead.zeros(2, model.final_width)
-    X = rng.uniform(0.0, 0.5, size=(4, 3))
-    with pytest.raises(ConfigError, match="exactly one unit"):
-        score_batch(model, head, X)
-    with pytest.raises(ConfigError, match="exactly one unit"):
-        classify(model, head, X[0])
+    kernels = [KernelSpec("linear"), KernelSpec("rbf", gamma=0.7)]
+    hidden = LayerSpec(width=3, activation="tanh",
+                       weights=random_mixing_weights(3, 2, rng))
+    wide = LayerSpec(width=2, activation="exp",
+                     weights=random_mixing_weights(2, 3, rng))
+    with pytest.raises(ConfigError, match="layer 3 .* exactly one unit, got 2"):
+        DknArchitecture(input_kernels=kernels, layers=[hidden, wide])
+
+    data, arch = tmp_path / "data.tsv", tmp_path / "arch.json"
+    out = tmp_path / "model.bin"
+    assert main(["gen-data", "--out", str(data), "--n", "12", "--d", "3",
+                 "--k", "2", "--seed", "21"]) == 0
+    arch.write_text(json.dumps({
+        "input_kernels": [{"kind": "linear"}],
+        "layers": [{"width": 3, "activation": "tanh"},
+                   {"width": 2, "activation": "exp"}]}))
+    capsys.readouterr()
+    assert main(["build-dmn", "--data", str(data), "--out", str(out),
+                 "--anchors", "6", "--arch", str(arch)]) == 1
+    assert "exactly one unit" in capsys.readouterr().err
+    assert not out.exists()
+
+    # save_model writes the shapes it is given, so a model widened after
+    # construction gives a consistent, checksum-valid two-output file
+    model, head, _ = helpers.toy_problem(seed=21)
+    model.arch.layers[-1] = wide
+    model.layers[-1].append(model.layers[-1][0])
+    save_model(model, head, out)
+    with pytest.raises(FormatError, match="exactly one unit"):
+        load_model(out)
 
 
 def test_head_validation():
@@ -146,6 +166,10 @@ def test_head_validation():
     head = ClassifierHead.random(2, 5, trade_off=2.0, seed=1)
     assert head.normals.shape == (2, 5)
     assert (head.trade_offs == 2.0).all()
+    head = ClassifierHead.random(2, 5, trade_off=[1.0, 3.0], seed=1)
+    assert head.trade_offs.tolist() == [1.0, 3.0]
+    with pytest.raises(ConfigError, match="one trade-off per class"):
+        ClassifierHead.random(3, 4, trade_off=[1.0, 2.0])
 
 
 def test_save_load_round_trip_bitwise(tmp_path):
@@ -286,9 +310,13 @@ def _huge_head_on_a_zero_width_map(header):
     (helpers.setting("units", 1, 0, "width", value=2**70),
      "truncated inside the matrix payload"),
     (_huge_head_on_a_zero_width_map, "model header"),
+    (helpers.setting("anchor_ids", value=["a"] * 6), "anchor_ids"),
+    (helpers.setting("anchor_ids", value=[[1], [2], {}, None, 1.5, True]),
+     "anchor_ids"),
 ], ids=["anchor-count", "layer-width", "units", "negative-shape",
         "non-integer-width", "head-classes", "input-unit-without-kernel",
-        "width-past-the-payload", "huge-empty-head"])
+        "width-past-the-payload", "huge-empty-head", "duplicate-anchor-ids",
+        "unhashable-anchor-ids"])
 def test_load_rejects_malformed_header_fields(tmp_path, edit, message):
     path = helpers.saved_with_header(tmp_path / "model.bin", edit, seed=23)
     with pytest.raises(FormatError, match=message):
@@ -332,6 +360,21 @@ def _with_zero_column(mat):
 def _rows_unlike_anchor_count(model):
     unit = model.layers[1][0]
     unit.anchors, unit.projection = unit.anchors[:-1], unit.projection[:-1]
+
+
+def test_model_anchor_ids_follow_the_file_rule(tmp_path):
+    # the ids a model holds are the ids its file can record, so a model
+    # that saves is a model that loads
+    model, _, _ = helpers.toy_problem(seed=32)
+    for ids in (("a",) * 6, tuple(np.arange(6)), ("a", "b")):
+        with pytest.raises(ConfigError, match="anchor_ids"):
+            DmnModel(layers=model.layers, arch=model.arch,
+                     anchor_samples=model.anchor_samples, anchor_ids=ids)
+    mixed = DmnModel(layers=model.layers, arch=model.arch,
+                     anchor_samples=model.anchor_samples,
+                     anchor_ids=("a", 1, "1", 2, "x", -3))
+    save_model(mixed, None, tmp_path / "m.bin")
+    assert load_model(tmp_path / "m.bin")[0].anchor_ids == mixed.anchor_ids
 
 
 @pytest.mark.parametrize("edit, where", [
