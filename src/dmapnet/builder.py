@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dkn import (DknArchitecture, EXP, activation_apply, combine,
-                  dkn_forward_grams)
+                  gram_layers)
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
 from .kernels import gram_matrix, max_asymmetry
@@ -181,29 +181,47 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
                     anchor_ids=anchors.ids)
 
 
+def _spectral_norm(sym: np.ndarray) -> float:
+    """The spectral norm of an exactly symmetric matrix: its largest
+    ``|eigenvalue|``, which costs less than an SVD."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+
+
 def reconstruction_errors(model: DmnModel) -> list:
     """Relative spectral error between each unit's map gram and its network
     kernel gram, both over the model's anchor samples.
 
     Returns a list of layers, each a list of per-unit errors.  Freshly built
     models reproduce every unit's gram up to the clipped eigenvalue mass.
+
+    One forward pass maps the anchor samples, and only its maps are kept.
+    The reference grams then come one layer at a time from
+    ``dkn.gram_layers``, and each layer's grams and maps go once its errors
+    are taken.  Map grams ``phi @ phi.T`` and reference grams are exactly
+    symmetric, so each spectral norm is the largest ``|eigvalsh|``.  A
+    non-finite map raises the forward pass's NumericRangeError, which
+    names its layer and unit.
     """
     S = model.anchor_samples
-    input_grams = [gram_matrix(spec, S) for spec in model.arch.input_kernels]
-    reference = dkn_forward_grams(model.arch, input_grams)
     _, trace = forward_batch(model, S)
+    maps = trace.out
+    del trace  # the kernel rows and activations are not needed
+    reference = gram_layers(model.arch,
+                            (gram_matrix(spec, S) for spec in model.arch.input_kernels))
     errors = []
-    for l, units in enumerate(model.layers):
+    for l, grams in enumerate(reference):
         layer_errors = []
-        for p in range(len(units)):
-            K = reference[l][p].values
-            phi = trace.out[l][p]
-            Khat = phi @ phi.T
-            denom = float(np.linalg.norm(K, 2))
+        for p, gram in enumerate(grams):
+            K = gram.values
+            denom = _spectral_norm(K)
             if denom == 0.0:
                 raise DegenerateGramError(
                     f"layer {l + 1}, unit {p + 1}: reference gram is zero"
                 )
-            layer_errors.append(float(np.linalg.norm(Khat - K, 2)) / denom)
+            diff = maps[l][p] @ maps[l][p].T
+            diff -= K
+            layer_errors.append(_spectral_norm(diff) / denom)
+            del diff  # not alive while the next layer is combined
+        maps[l] = None
         errors.append(layer_errors)
     return errors

@@ -251,6 +251,32 @@ def combine(weights, terms) -> list:
     return sums
 
 
+def gram_layers(arch: DknArchitecture, input_grams):
+    """Yield each layer's per-unit GramMatrix list over a fixed sample set,
+    bottom-up: first the inputs, then each layer's combined, activated grams.
+
+    ``input_grams`` holds, or yields, one GramMatrix (or plain array) per
+    input kernel, all square and of one size, each over the same samples.
+    The generator keeps only the layer it combines from, so a caller that
+    lets each yielded layer go before asking for the next holds at most two
+    layers of grams.
+    """
+    grams = [gm if isinstance(gm, GramMatrix) else GramMatrix(gm)
+             for gm in input_grams]
+    n1 = len(arch.input_kernels)
+    if len(grams) != n1:
+        raise InputError(f"expected {n1} input grams, got {len(grams)}")
+    n = grams[0].shape[0]
+    if any(gm.shape != (n, n) for gm in grams):
+        raise InputError("input grams must be square and of one size, got "
+                         + ", ".join(str(gm.shape) for gm in grams))
+    for layer in arch.layers:
+        yield grams
+        grams = [GramMatrix(activation_apply(layer.activation, pre, out=pre))
+                 for pre in combine(layer.weights, (gm.values for gm in grams))]
+    yield grams
+
+
 def dkn_forward_grams(arch: DknArchitecture, input_grams) -> list:
     """Per-layer, per-unit gram matrices over a fixed sample set.
 
@@ -259,24 +285,7 @@ def dkn_forward_grams(arch: DknArchitecture, input_grams) -> list:
     of layers; layer 0 echoes the inputs, later layers hold the combined,
     activated grams.
     """
-    n1 = len(arch.input_kernels)
-    if len(input_grams) != n1:
-        raise InputError(
-            f"expected {n1} input grams, got {len(input_grams)}"
-        )
-    normalized = [gm if isinstance(gm, GramMatrix) else GramMatrix(gm)
-                  for gm in input_grams]
-    n = normalized[0].shape[0]
-    if any(gm.shape != (n, n) for gm in normalized):
-        raise InputError("input grams must be square and of one size, got "
-                         + ", ".join(str(gm.shape) for gm in normalized))
-    layered = [normalized]
-    values = [gm.values for gm in normalized]
-    for layer in arch.layers:
-        values = [activation_apply(layer.activation, pre, out=pre)
-                  for pre in combine(layer.weights, values)]
-        layered.append([GramMatrix(v) for v in values])
-    return layered
+    return list(gram_layers(arch, input_grams))
 
 
 def dkn_pair(arch: DknArchitecture, x, y) -> float:

@@ -153,7 +153,11 @@ def _solve_class(F, y, c, w0, tol_scale: float = 1e-6, max_newton: int = 100):
         if np.max(np.abs(grad)) <= tol:
             return w
         Fa = F[active]
-        hess = np.eye(d) + 2.0 * c * (Fa.T @ Fa)
+        # I + 2c * Fa'Fa, built in place: one d x d array instead of three
+        hess = Fa.T @ Fa
+        del Fa
+        hess *= 2.0 * c
+        hess[np.diag_indices(d)] += 1.0
         step = np.linalg.solve(hess, -grad)
         slope = float(grad @ step)
         t = 1.0

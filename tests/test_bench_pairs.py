@@ -1,6 +1,12 @@
-"""The paired-benchmark summary of tools/bench_pairs.py, on fixed numbers."""
+"""tools/bench_pairs.py: its paired-benchmark summary, on fixed numbers, and
+its clean-up when stopped."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -73,3 +79,30 @@ def test_pair_ratios_see_a_gain_through_drift():
     assert up["wins"] == 10
     assert not up["gap_exceeds_base_iqr"]
     assert up["ratio_quartiles"] == pytest.approx([1.1, 1.1, 1.1])
+
+
+@pytest.mark.skipif(not (_PATH.parent.parent / ".git").exists(),
+                    reason="the tool exports its base revision with git")
+def test_sigterm_removes_both_trees(tmp_path):
+    # stopped while it copies the trees or runs a benchmark, the tool must
+    # kill the benchmark and leave nothing in its temporary directory
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, str(_PATH), "--workload", "train-300", "--seeds", "1",
+         "--base", "HEAD", "--out", str(tmp_path / "out.json")],
+        cwd=_PATH.parent.parent, env={**os.environ, "TMPDIR": str(tmpdir)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmpdir.glob("*/base")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert code != 0
+    assert list(tmpdir.iterdir()) == []
+    assert not (tmp_path / "out.json").exists()

@@ -9,9 +9,11 @@ import pytest
 import helpers
 from dmapnet import (AnchorSet, BuildError, ConfigError, DegenerateGramError,
                      DknArchitecture, InputError, KernelSpec, LayerSpec,
-                     NumericRangeError, build_dmn, build_input_layer,
-                     default_architecture, default_input_kernels,
-                     eigen_projection, gram_matrix, reconstruction_errors)
+                     NumericRangeError, SyntheticSpec, build_dmn,
+                     build_input_layer, default_architecture,
+                     default_input_kernels, dkn_forward_grams,
+                     eigen_projection, forward_batch, generate_synthetic,
+                     gram_matrix, reconstruction_errors)
 
 
 def test_eigen_projection_hand_case():
@@ -188,6 +190,52 @@ def test_reconstruction_errors_independent_reference():
     assert max(corrupted[1]) > 1e-3
 
 
+def test_reconstruction_errors_match_svd_norms():
+    # the library takes spectral norms from eigvalsh; the reference here
+    # takes them from the SVD behind np.linalg.norm(., 2)
+    model = helpers.toy_model(seed=35, scale=0.05)
+    S = model.anchor_samples
+    reference = dkn_forward_grams(
+        model.arch, [gram_matrix(spec, S) for spec in model.arch.input_kernels])
+    _, trace = forward_batch(model, S)
+    errors = reconstruction_errors(model)
+    assert [len(layer) for layer in errors] == model.arch.widths
+    for l, layer in enumerate(errors):
+        for p, error in enumerate(layer):
+            K = reference[l][p].values
+            phi = trace.out[l][p]
+            expected = np.linalg.norm(phi @ phi.T - K, 2) / np.linalg.norm(K, 2)
+            assert error == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_reconstruction_errors_hold_two_layers_of_grams():
+    # the forward pass's maps, then at most two layers of reference grams
+    # and one unit's map gram and eigvalsh copy; holding every reference
+    # gram beside the whole forward trace took 35.5 gram sizes here
+    n = 300
+    data = generate_synthetic(SyntheticSpec(num_samples=n, num_features=10,
+                                            num_classes=5, noise=0.1, seed=1))
+    model = build_dmn(default_architecture(default_input_kernels()),
+                      AnchorSet(samples=data.features), clip_ratio=1e-10)
+    tracemalloc.start()
+    try:
+        errors = reconstruction_errors(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(errors[0]) <= 1e-8
+    assert peak < 28 * n * n * 8
+
+
+def test_reconstruction_errors_name_the_overflowing_unit():
+    # the forward pass runs before any reference gram, so an overflowing
+    # network kernel is reported with its layer and unit
+    model = helpers.toy_model(seed=35, scale=0.05)
+    model.arch.layers[-1].weights = model.arch.layers[-1].weights * 1e6
+    with pytest.raises(NumericRangeError, match="layer 3, unit 1"):
+        reconstruction_errors(model)
+
+
 def test_two_layer_identity_build_is_exact():
     rng = np.random.default_rng(36)
     anchors = AnchorSet(samples=rng.uniform(0.0, 0.5, size=(10, 3)))
@@ -216,8 +264,6 @@ def test_more_anchors_reconstruct_held_out_points_better():
     # growing the anchor set must not hurt the approximation away from the
     # anchors; on the anchors themselves the comparison is confounded
     # because the clip threshold scales with the top eigenvalue
-    from dmapnet import dkn_forward_grams, forward_batch
-
     def final_error_on(model, samples, arch):
         grams = [gram_matrix(spec, samples) for spec in arch.input_kernels]
         K = dkn_forward_grams(arch, grams)[-1][0].values

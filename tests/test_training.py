@@ -1,5 +1,7 @@
 """Alternating optimization: hinge solves, gradients, the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -62,6 +64,22 @@ def test_solver_warm_start_agrees_with_cold():
         v_cold = helpers.hinge_objective(F, Y[:, k], 1.0, cold[k])
         v_warm = helpers.hinge_objective(F, Y[:, k], 1.0, warm[k])
         assert abs(v_cold - v_warm) <= 1e-6 * max(1.0, abs(v_cold))
+
+
+def test_solver_builds_its_hessian_in_place():
+    # beyond F and the normals, a Newton step holds the active rows, one
+    # d x d Hessian and the solver's copy of it
+    rng = np.random.default_rng(44)
+    n, d = 400, 300
+    F = rng.standard_normal((n, d))
+    Y = np.where(rng.random((n, 3)) < 0.5, 1.0, -1.0)
+    tracemalloc.start()
+    try:
+        svm_solve(F, Y, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * d * d * 8
 
 
 def test_solver_input_validation():

@@ -17,6 +17,8 @@ between the medians exceeds the base's interquartile range, and the
 quartiles of the per-pair ``change / base`` ratios.  The two runs of a pair
 share the machine's state at that moment, so the ratios show a change even
 when the machine drifts across the series more than the change moves it.
+SIGTERM stops a run like Ctrl-C: the running benchmark is killed and both
+exported trees are removed.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import io
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
@@ -134,7 +137,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "provenance": provenance[0] if provenance else None}
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    # an unhandled SIGTERM ends the process without unwinding, which would
+    # leave both trees behind; as SystemExit it runs every with block's exit
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. 1-10 or 1,3,5")
