@@ -10,14 +10,13 @@ runtime comparison against the implicit dual form (``bench``).
 
 from .bench import BenchReport, BenchRow, run_bench
 from .builder import (AnchorSet, ClipReport, EigenFactor, build_dmn,
-                      build_input_layer, eigen_projection,
-                      reconstruction_errors)
+                      eigen_projection, reconstruction_errors)
 from .checks import finite_difference_gradients, gradient_check
 from .data import (LabeledDataset, SyntheticSpec, generate_synthetic,
                    load_dataset, save_dataset)
 from .dkn import (DknArchitecture, LayerSpec, default_architecture,
-                  default_input_kernels, dkn_classify, dkn_forward_grams,
-                  dkn_pair, load_architecture, random_mixing_weights)
+                  default_input_kernels, dkn_classify, dkn_pair, gram_layers,
+                  load_architecture, random_mixing_weights)
 from .errors import (BuildError, ConfigError, DegenerateGramError, DmapnetError,
                      FormatError, GenerationError, InputError, NumericError,
                      NumericRangeError, TrainingDivergedError, VersionError)
@@ -36,17 +35,15 @@ __all__ = [
     "ClipReport", "ConfigError", "DegenerateGramError", "DknArchitecture",
     "DmapnetError", "DmnModel", "DmnUnit", "EigenFactor", "EvalReport",
     "FormatError", "GenerationError", "GramMatrix", "InputError", "KernelSpec",
-    "LabeledDataset", "LayerSpec",
-    "NumericError", "NumericRangeError", "SyntheticSpec", "TrainConfig",
-    "TrainLogEntry", "TrainingDivergedError", "VersionError", "backprop",
-    "build_dmn", "build_input_layer", "classify",
-    "cross_validate_C", "default_architecture", "default_input_kernels",
-    "dkn_classify", "dkn_forward_grams", "dkn_pair",
-    "eigen_projection", "eval_kernel", "evaluate", "f_measure",
+    "LabeledDataset", "LayerSpec", "NumericError", "NumericRangeError",
+    "SyntheticSpec", "TrainConfig", "TrainLogEntry", "TrainingDivergedError",
+    "VersionError", "backprop", "build_dmn", "classify", "cross_validate_C",
+    "default_architecture", "default_input_kernels", "dkn_classify",
+    "dkn_pair", "eigen_projection", "eval_kernel", "evaluate", "f_measure",
     "finite_difference_gradients", "format_history", "forward_batch",
-    "generate_synthetic", "grad_output", "gradient_check", "gram_matrix",
-    "input_kernel_rows", "load_architecture", "load_dataset", "load_model",
-    "objective", "random_mixing_weights", "reconstruction_errors", "run_bench",
-    "save_dataset", "save_model", "score_batch", "svm_solve", "train",
-    "train_with_guard",
+    "generate_synthetic", "grad_output", "gradient_check", "gram_layers",
+    "gram_matrix", "input_kernel_rows", "load_architecture", "load_dataset",
+    "load_model", "objective", "random_mixing_weights",
+    "reconstruction_errors", "run_bench", "save_dataset", "save_model",
+    "score_batch", "svm_solve", "train", "train_with_guard",
 ]

@@ -3,11 +3,11 @@
 Each unit's gram over the anchor set is eigendecomposed; the projection
 ``U = V * diag(1/sqrt(lam))`` turns similarity vectors against the anchors
 into coordinates whose inner products reproduce the unit's kernel on the
-anchor set, up to the discarded eigenvalue mass.  Construction walks the
-layers bottom-up: each unit keeps its map of the anchor samples as its
-anchors, and the gram of an upper unit is the weighted sum, over the lower
-units, of those maps' inner products, then activated.  ``_unit`` makes every
-unit, input or combination; ``model`` defines the ``ClipReport`` it records.
+anchor set, up to the discarded eigenvalue mass.  Construction walks up from
+layer 1, whose grams are the base kernels': each unit keeps its map of the
+anchor samples as its anchors, and an upper unit's gram is the weighted
+sum, over the lower units, of those maps' inner products, then activated.
+``_unit`` makes every unit; ``model`` defines the ``ClipReport`` it records.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dkn import (DknArchitecture, EXP, activation_apply, combine,
-                  gram_layers)
+from .dkn import DknArchitecture, EXP, activate, combine, gram_layers
 from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
 from .kernels import gram_matrix, max_asymmetry
@@ -133,11 +132,24 @@ def _unit(gram, clip_ratio: float, layer: int, unit: int, last: bool) -> DmnUnit
                    clip_report=factor.clip_report)
 
 
-def build_input_layer(specs, anchors: AnchorSet,
-                      clip_ratio: float = DEFAULT_CLIP_RATIO) -> list:
-    """Explicit maps for each base kernel over the anchor set."""
-    return [_unit(gram_matrix(spec, anchors.samples).values, clip_ratio, 1,
-                  q + 1, last=False) for q, spec in enumerate(specs)]
+def _grams(arch: DknArchitecture, number: int, samples, built: list):
+    """Yield layer ``number``'s unit grams over the anchor samples one at a
+    time, keeping none: the base grams in layer 1, above it the activated
+    sums over the last ``built`` layer's anchor maps."""
+    if number == 1:
+        yield from (gram_matrix(spec, samples).values for spec in arch.input_kernels)
+        return
+    spec = arch.layers[number - 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a weighted sum of exactly symmetric grams stays exactly symmetric
+        sums = combine(spec.weights, (u.anchors @ u.anchors.T for u in built[-1]))
+        for p, pre in enumerate(sums, start=1):
+            if spec.activation == EXP and np.max(np.abs(pre)) > EXP_ARG_LIMIT:
+                raise NumericRangeError(f"layer {number}, unit {p}: exp "
+                                        f"argument exceeds {EXP_ARG_LIMIT:g}")
+        activate(spec, number, sums)
+    while sums:
+        yield sums.pop(0)
 
 
 def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
@@ -147,34 +159,18 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
     ``log`` is an optional callable receiving one text line per unit with
     the retained width and discarded eigenvalue mass.
     """
-    def emit(layer, unit, report):
-        if log is not None:
-            log(f"layer {layer} unit {unit}: retained {report.retained}, "
-                f"discarded {report.discarded} "
-                f"(max |eig| {report.discarded_max_abs:.3e})")
-
-    input_units = build_input_layer(arch.input_kernels, anchors, clip_ratio)
-    for q, unit in enumerate(input_units):
-        emit(1, q + 1, unit.clip_report)
-    unit_layers = [input_units]
-    for li, layer_spec in enumerate(arch.layers):
-        layer_no = li + 2
-        last = li == len(arch.layers) - 1
-        # a weighted sum of exactly symmetric grams stays exactly symmetric
-        pres = combine(layer_spec.weights,
-                       (unit.anchors @ unit.anchors.T for unit in unit_layers[-1]))
+    unit_layers = []
+    for number in range(1, arch.num_layers + 1):
         units = []
-        for p in range(layer_spec.width):
-            pre = pres[p]
-            pres[p] = None  # the gram goes once its unit is built
-            if layer_spec.activation == EXP and np.max(np.abs(pre)) > EXP_ARG_LIMIT:
-                raise NumericRangeError(
-                    f"layer {layer_no}, unit {p + 1}: exp argument exceeds "
-                    f"{EXP_ARG_LIMIT:g}"
-                )
-            G = activation_apply(layer_spec.activation, pre, out=pre)
-            units.append(_unit(G, clip_ratio, layer_no, p + 1, last))
-            emit(layer_no, p + 1, units[-1].clip_report)
+        grams = _grams(arch, number, anchors.samples, unit_layers)
+        for p, gram in enumerate(grams, start=1):
+            units.append(_unit(gram, clip_ratio, number, p, number == arch.num_layers))
+            del gram  # the gram goes once its unit is built
+            if log is not None:
+                report = units[-1].clip_report
+                log(f"layer {number} unit {p}: retained {report.retained}, "
+                    f"discarded {report.discarded} "
+                    f"(max |eig| {report.discarded_max_abs:.3e})")
         unit_layers.append(units)
     return DmnModel(layers=unit_layers, arch=copy.deepcopy(arch),
                     anchor_samples=anchors.samples.copy(),

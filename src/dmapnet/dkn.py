@@ -5,17 +5,20 @@ layers, the last of which is one unit: the network's kernel.  Unit p of
 layer l computes ``g(sum_q w[p, q] * k_q(x, x'))`` over the units of the
 layer below, with nonnegative mixing weights and an activation g in
 {tanh, exp, identity}.  Everything here works on implicit kernel values;
-the explicit map construction lives in ``builder``.
+the explicit map construction lives in ``builder``.  Every walk activates
+a layer's ``combine`` sums through ``activate``, which names the layer and
+unit of a non-finite value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, drawing
+from .errors import ConfigError, InputError, NumericRangeError, drawing
 from .kernels import GramMatrix, KernelSpec, _is_whole, block_rows, eval_kernel
 
 TANH = "tanh"
@@ -31,7 +34,7 @@ def activation_apply(name: str, values, out=None):
     if name == TANH:
         return np.tanh(values, out=out)
     if name == EXP:
-        # overflow yields inf silently; callers validate finiteness
+        # overflow yields inf silently; activate checks finiteness
         with np.errstate(over="ignore"):
             return np.exp(values, out=out)
     if name == IDENTITY:
@@ -251,6 +254,27 @@ def combine(weights, terms) -> list:
     return sums
 
 
+def check_finite(values, layer: int, unit: int, what: str) -> None:
+    """Raise NumericRangeError naming the layer and unit of non-finite values."""
+    # dkn_pair's values are floats, which math checks fastest
+    if not (np.isfinite(values).all() if isinstance(values, np.ndarray)
+            else math.isfinite(values)):
+        raise NumericRangeError(f"non-finite {what} at layer {layer}, unit {unit}")
+
+
+def activate(layer: LayerSpec, number: int, sums: list) -> list:
+    """Activate layer ``number``'s ``combine`` sums unit by unit, arrays in
+    place, raising check_finite's error for a non-finite sum or activation."""
+    for p, pre in enumerate(sums):
+        check_finite(pre, number, p + 1, "pre-activation")
+        if isinstance(pre, np.ndarray):
+            activation_apply(layer.activation, pre, out=pre)
+        else:  # dkn_pair's floats
+            sums[p] = float(activation_apply(layer.activation, pre))
+        check_finite(sums[p], number, p + 1, "activation")
+    return sums
+
+
 def gram_layers(arch: DknArchitecture, input_grams):
     """Yield each layer's per-unit GramMatrix list over a fixed sample set,
     bottom-up: first the inputs, then each layer's combined, activated grams.
@@ -270,30 +294,20 @@ def gram_layers(arch: DknArchitecture, input_grams):
     if any(gm.shape != (n, n) for gm in grams):
         raise InputError("input grams must be square and of one size, got "
                          + ", ".join(str(gm.shape) for gm in grams))
-    for layer in arch.layers:
+    for number, layer in enumerate(arch.layers, start=2):
         yield grams
-        grams = [GramMatrix(activation_apply(layer.activation, pre, out=pre))
-                 for pre in combine(layer.weights, (gm.values for gm in grams))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams = [GramMatrix(h) for h in activate(layer, number, combine(
+                layer.weights, (gm.values for gm in grams)))]
     yield grams
-
-
-def dkn_forward_grams(arch: DknArchitecture, input_grams) -> list:
-    """Per-layer, per-unit gram matrices over a fixed sample set.
-
-    ``input_grams`` holds one GramMatrix (or plain array) per input kernel,
-    all square and of one size, each over the same samples.  Returns a list
-    of layers; layer 0 echoes the inputs, later layers hold the combined,
-    activated grams.
-    """
-    return list(gram_layers(arch, input_grams))
 
 
 def dkn_pair(arch: DknArchitecture, x, y) -> float:
     """Network kernel value for one sample pair."""
     kappa = [eval_kernel(spec, x, y) for spec in arch.input_kernels]
-    for layer in arch.layers:
-        kappa = [float(activation_apply(layer.activation, pre))
-                 for pre in combine(layer.weights, kappa)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for number, layer in enumerate(arch.layers, start=2):
+            kappa = activate(layer, number, combine(layer.weights, kappa))
     return kappa[0]
 
 

@@ -12,7 +12,9 @@ layer maps a sample through its pre-activation
 each lower unit's map ``phi_q`` with that unit's anchors ``M_q``,
 activated with its layer's activation and times its projection.
 Inference therefore never touches any training set, only the fixed anchor
-matrices.  The ``ClipReport`` each unit stores is defined here beside it.
+matrices.  The forward pass walks up from layer 1, whose activations are
+the kernel rows.  The ``ClipReport`` each unit stores is defined here beside
+it; a model file's reports must agree with their units.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dkn import DknArchitecture, LayerSpec, activation_apply, combine
-from .errors import ConfigError, FormatError, InputError, NumericRangeError, VersionError
+from .dkn import DknArchitecture, LayerSpec, activate, check_finite, combine
+from .errors import ConfigError, FormatError, InputError, VersionError
 from .fileio import atomic_write_bytes
 from .kernels import KernelSpec, gram_matrix
 
@@ -60,7 +62,7 @@ class DmnUnit:
 
     anchors: np.ndarray
     projection: np.ndarray
-    clip_report: ClipReport | None = None
+    clip_report: ClipReport
 
     def __post_init__(self):
         self.anchors = np.asarray(self.anchors, dtype=np.float64)
@@ -100,8 +102,8 @@ def anchor_id_tuple(ids, count: int) -> tuple:
 class DmnModel:
     """A stack of unit layers plus the anchor samples they were built on.
 
-    ``layers[0]`` holds the input-kernel units, ``layers[l]`` the units of
-    ``arch.layers[l - 1]``.  The architecture is the one record of every
+    ``layers`` holds the units of each network layer, bottom-up from the
+    input-kernel units.  The architecture is the one record of every
     layer's width and activation and of the input units' base kernels.  The
     model owns a private copy of it; training updates the mixing weights
     inside that copy without touching the caller's architecture.
@@ -211,13 +213,6 @@ class BatchTrace:
         return self.out[0][0].shape[0]
 
 
-def _check_finite(arr: np.ndarray, layer: int, unit: int, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericRangeError(
-            f"non-finite {what} at layer {layer}, unit {unit}"
-        )
-
-
 def input_kernel_rows(model: DmnModel, X) -> list:
     """Kernel values of each sample against the anchor samples, one matrix
     per input unit.  These depend only on the anchor samples and the base
@@ -245,28 +240,21 @@ def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
         kernel_rows = input_kernel_rows(model, X)
     h_layers = []
     out_layers = []
-    outs = []
-    # overflow may pass through as inf/nan silently; the finite checks
-    # after every product raise with the offending unit named
+    hs = list(kernel_rows)
+    # overflow may pass through as inf/nan silently; activate and the map
+    # check raise with the offending unit named
     with np.errstate(over="ignore", invalid="ignore"):
-        for q, unit in enumerate(model.layers[0]):
-            Z = kernel_rows[q]
-            phi = Z @ unit.projection
-            _check_finite(phi, 1, q + 1, "map")
-            outs.append(phi)
-        h_layers.append(list(kernel_rows))
-        out_layers.append(outs)
-        for li, layer_spec in enumerate(model.arch.layers):
-            lower = model.layers[li]
-            # one lower product alive at a time; the sums become the trace's h
-            hs = combine(layer_spec.weights,
-                         (phi @ unit.anchors.T for phi, unit in zip(outs, lower)))
+        for l, units in enumerate(model.layers, start=1):
+            if l > 1:
+                spec = model.arch.layers[l - 2]
+                # one lower product alive at a time; the sums become the trace's h
+                hs = activate(spec, l, combine(spec.weights, (
+                    phi @ unit.anchors.T
+                    for phi, unit in zip(outs, model.layers[l - 2]))))
             outs = []
-            for p, (unit, hmat) in enumerate(zip(model.layers[li + 1], hs)):
-                _check_finite(hmat, li + 2, p + 1, "pre-activation")
-                activation_apply(layer_spec.activation, hmat, out=hmat)
-                phi = hmat @ unit.projection
-                _check_finite(phi, li + 2, p + 1, "map")
+            for p, (unit, h) in enumerate(zip(units, hs), start=1):
+                phi = h @ unit.projection
+                check_finite(phi, l, p, "map")
                 outs.append(phi)
             h_layers.append(hs)
             out_layers.append(outs)
@@ -300,9 +288,7 @@ def classify(model: DmnModel, head: ClassifierHead, x) -> tuple:
 
 # --- binary container --------------------------------------------------------
 
-def _clip_report_from_dict(obj):
-    if obj is None:
-        return None
+def _clip_report_from_dict(obj) -> ClipReport:
     return ClipReport(
         retained=_count(obj["retained"], "clip_report retained"),
         discarded=_count(obj["discarded"], "clip_report discarded"),
@@ -355,9 +341,7 @@ def save_model(model: DmnModel, head: ClassifierHead | None, path) -> None:
         },
         "units": [
             [
-                {"width": unit.width,
-                 "clip_report": (None if unit.clip_report is None
-                                 else asdict(unit.clip_report))}
+                {"width": unit.width, "clip_report": asdict(unit.clip_report)}
                 for unit in units
             ]
             for units in model.layers
@@ -503,4 +487,11 @@ def load_model(path) -> tuple:
 
     if reader.offset != len(reader.buf):
         raise FormatError("model file has trailing bytes after the payload")
+    # a unit keeps width of its gram's n eigenvalues and drops the rest
+    for l, units in enumerate(model.layers, start=1):
+        for p, unit in enumerate(units, start=1):
+            kept, drop = unit.clip_report.retained, unit.clip_report.discarded
+            if kept != unit.width or kept + drop != n:
+                raise FormatError(f"layer {l}, unit {p}: clip report keeps {kept} of "
+                                  f"{n} eigenvalues, drops {drop}; width {unit.width}")
     return model, head

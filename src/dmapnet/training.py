@@ -29,6 +29,8 @@ from .model import (BatchTrace, ClassifierHead, DmnModel, check_head_width,
                     forward_batch, input_kernel_rows)
 
 CONVERGENCE_WINDOW = 10
+NEWTON_TOL_SCALE = 1e-6
+MAX_NEWTON_STEPS = 100
 
 DEFAULT_CV_GRID = (0.01, 0.1, 1.0, 10.0)
 
@@ -133,23 +135,23 @@ def _class_gradient(F, y, c, w):
     return grad, active
 
 
-def _solve_class(F, y, c, w0, tol_scale: float = 1e-6, max_newton: int = 100):
+def _solve_class(F, y, c, w0):
     """Damped Newton on the primal squared-hinge objective for one class.
 
-    Stops when the gradient infinity norm falls at or below ``tol_scale``
-    times max(1, gradient norm at zero).  The generalized Hessian
-    ``I + 2c * F_A' F_A`` is positive definite, so every step is a descent
-    direction.  Raises NumericRangeError when the line search stalls or the
-    iterations run out short of the tolerance, as they do on maps blown up
-    by an oversized learning rate; the training guard rejects that step.
+    Stops when the gradient infinity norm falls at or below
+    ``NEWTON_TOL_SCALE`` times max(1, gradient norm at zero).  The generalized
+    Hessian ``I + 2c * F_A' F_A`` is positive definite, so every step is a
+    descent direction.  Raises NumericRangeError when the line search stalls
+    or ``MAX_NEWTON_STEPS`` run out short of the tolerance, as on maps blown
+    up by an oversized learning rate; the training guard rejects that step.
     """
     n, d = F.shape
     w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
     grad0 = -2.0 * c * ((F * y[:, None]).sum(axis=0))
-    tol = tol_scale * max(1.0, float(np.max(np.abs(grad0))) if d else 1.0)
+    tol = NEWTON_TOL_SCALE * max(1.0, float(np.max(np.abs(grad0))) if d else 1.0)
     grad, active = _class_gradient(F, y, c, w)
     value = _class_objective(F, y, c, w)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON_STEPS):
         if np.max(np.abs(grad)) <= tol:
             return w
         Fa = F[active]
@@ -242,14 +244,15 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
              for unit in model.layers[-1]}
 
     d_out = [G]
-    for l in range(len(model.layers) - 1, 0, -1):
-        spec = model.arch.layers[l - 1]
-        ds = []
+    for l in range(len(model.layers) - 1, -1, -1):
         for p, unit in enumerate(model.layers[l]):
-            h = batch.h[l][p]
-            grads[id(unit), "projection"] = h.T @ d_out[p]
-            ds.append(activation_prime(spec.activation, h)
-                      * (d_out[p] @ unit.projection.T))
+            grads[id(unit), "projection"] = batch.h[l][p].T @ d_out[p]
+        if l == 0:
+            break  # the input layer has no activation, weights or layer below
+        spec = model.arch.layers[l - 1]
+        ds = [activation_prime(spec.activation, batch.h[l][p])
+              * (d_out[p] @ unit.projection.T)
+              for p, unit in enumerate(model.layers[l])]
         # pre_p = sum_q w[p, q] * phi_q @ M_q.T, so lower unit q sees
         # sum_p w[p, q] * ds_p through its map and its anchors alike
         d_pre = combine(spec.weights.T, ds)
@@ -263,8 +266,6 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
                 weight_grad[p, q] = float(np.vdot(dsp, S))
             grads[id(unit), "anchors"] = d_pre[q].T @ phi
             d_out.append(d_pre[q] @ unit.anchors)
-    for q, unit in enumerate(model.layers[0]):
-        grads[id(unit), "projection"] = batch.h[0][q].T @ d_out[q]
 
     for name, owner, attribute in parameters(model):
         if not np.isfinite(grads[id(owner), attribute]).all():

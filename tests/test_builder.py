@@ -10,10 +10,9 @@ import helpers
 from dmapnet import (AnchorSet, BuildError, ConfigError, DegenerateGramError,
                      DknArchitecture, InputError, KernelSpec, LayerSpec,
                      NumericRangeError, SyntheticSpec, build_dmn,
-                     build_input_layer, default_architecture,
-                     default_input_kernels, dkn_forward_grams,
+                     default_architecture, default_input_kernels,
                      eigen_projection, forward_batch, generate_synthetic,
-                     gram_matrix, reconstruction_errors)
+                     gram_layers, gram_matrix, reconstruction_errors)
 
 
 def test_eigen_projection_hand_case():
@@ -112,7 +111,7 @@ def test_input_layer_reproduces_base_grams():
     rng = np.random.default_rng(30)
     anchors = AnchorSet(samples=rng.uniform(0.0, 1.0, size=(12, 4)))
     specs = default_input_kernels(gamma=0.6)
-    units = build_input_layer(specs, anchors)
+    units = build_dmn(default_architecture(specs), anchors).layers[0]
     assert len(units) == len(specs)
     for spec, unit in zip(specs, units):
         K = gram_matrix(spec, anchors.samples).values
@@ -195,8 +194,8 @@ def test_reconstruction_errors_match_svd_norms():
     # takes them from the SVD behind np.linalg.norm(., 2)
     model = helpers.toy_model(seed=35, scale=0.05)
     S = model.anchor_samples
-    reference = dkn_forward_grams(
-        model.arch, [gram_matrix(spec, S) for spec in model.arch.input_kernels])
+    reference = list(gram_layers(
+        model.arch, [gram_matrix(spec, S) for spec in model.arch.input_kernels]))
     _, trace = forward_batch(model, S)
     errors = reconstruction_errors(model)
     assert [len(layer) for layer in errors] == model.arch.widths
@@ -266,7 +265,7 @@ def test_more_anchors_reconstruct_held_out_points_better():
     # because the clip threshold scales with the top eigenvalue
     def final_error_on(model, samples, arch):
         grams = [gram_matrix(spec, samples) for spec in arch.input_kernels]
-        K = dkn_forward_grams(arch, grams)[-1][0].values
+        K = list(gram_layers(arch, grams))[-1][0].values
         phi, _ = forward_batch(model, samples)
         Khat = phi @ phi.T
         return float(np.linalg.norm(Khat - K, 2) / np.linalg.norm(K, 2))

@@ -7,10 +7,11 @@ import numpy.testing as npt
 import pytest
 
 import helpers
-from dmapnet import (ConfigError, DknArchitecture, InputError, KernelSpec,
-                     LayerSpec, default_architecture, default_input_kernels,
-                     dkn_classify, dkn_forward_grams, dkn_pair,
-                     gram_matrix, load_architecture, random_mixing_weights)
+from dmapnet import (AnchorSet, ConfigError, DknArchitecture, InputError,
+                     KernelSpec, LayerSpec, NumericRangeError, build_dmn,
+                     default_architecture, default_input_kernels,
+                     dkn_classify, dkn_pair, gram_layers, gram_matrix,
+                     load_architecture, random_mixing_weights)
 from dmapnet.dkn import activation_apply, activation_prime, combine
 from dmapnet.kernels import BLOCK_BYTES, block_rows
 
@@ -180,7 +181,7 @@ def test_forward_grams_match_pair_evaluations():
     X = rng.uniform(0.0, 0.6, size=(6, 3))
     arch = helpers.toy_arch(rng)
     input_grams = [gram_matrix(spec, X) for spec in arch.input_kernels]
-    layered = dkn_forward_grams(arch, input_grams)
+    layered = list(gram_layers(arch, input_grams))
     assert len(layered) == arch.num_layers
     final = layered[-1][0].values
     for i in range(6):
@@ -191,14 +192,31 @@ def test_forward_grams_match_pair_evaluations():
     # block boundary still match the scalar recursion bitwise
     X = rng.uniform(0.0, 0.6, size=(200, 3))
     assert 200 * 200 * 8 > BLOCK_BYTES
-    final = dkn_forward_grams(
-        arch, [gram_matrix(spec, X) for spec in arch.input_kernels])[-1][0].values
+    final = list(gram_layers(
+        arch, [gram_matrix(spec, X) for spec in arch.input_kernels]))[-1][0].values
     step = block_rows(200)
     edges = {0, step - 1, step, 199}
     pairs = {(i, j) for i in edges for j in range(0, 200, 7)}
     pairs |= {tuple(ij) for ij in rng.integers(0, 200, size=(100, 2))}
     for i, j in sorted(pairs):
         assert final[i, j] == dkn_pair(arch, X[i], X[j])
+
+
+def test_pair_recursion_passes_an_identity_layer_up():
+    # identity activates a float into a 0-d array, which the layer above
+    # must still combine as a scalar
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.0, 0.6, size=(4, 3))
+    specs = [KernelSpec("linear"), KernelSpec("rbf", gamma=0.5)]
+    arch = DknArchitecture(input_kernels=specs, layers=[
+        LayerSpec(width=2, activation="identity",
+                  weights=random_mixing_weights(2, 2, rng)),
+        LayerSpec(width=1, activation="tanh",
+                  weights=random_mixing_weights(1, 2, rng))])
+    final = list(gram_layers(arch, [gram_matrix(s, X) for s in specs]))[-1][0].values
+    for i in range(4):
+        for j in range(4):
+            assert dkn_pair(arch, X[i], X[j]) == final[i, j]
 
 
 def test_combine_blocked_matches_sequential_sum():
@@ -222,7 +240,7 @@ def test_forward_grams_layer_ranges():
     rng = np.random.default_rng(4)
     X = rng.uniform(0.0, 0.6, size=(5, 3))
     arch = helpers.toy_arch(rng)
-    layered = dkn_forward_grams(arch, [gram_matrix(s, X) for s in arch.input_kernels])
+    layered = list(gram_layers(arch, [gram_matrix(s, X) for s in arch.input_kernels]))
     hidden = np.stack([gm.values for gm in layered[1]])
     assert (np.abs(hidden) < 1.0).all()  # tanh output
     assert (layered[2][0].values > 0).all()  # exp output
@@ -237,12 +255,37 @@ def test_forward_grams_shape_mismatch():
     g3 = gram_matrix(k1, X3)
     g4 = gram_matrix(k2, X4)
     with pytest.raises(InputError, match="expected 2 input grams"):
-        dkn_forward_grams(arch, [g4])
+        list(gram_layers(arch, [g4]))
     for grams in ([g3, g4],                            # unequal sizes
                   [gram_matrix(k1, X3, X4), g4],       # a cross gram
                   [np.ones((3, 4)), np.ones((3, 4))]):  # a plain 3x4 array
         with pytest.raises(InputError, match="square and of one size"):
-            dkn_forward_grams(arch, grams)
+            list(gram_layers(arch, grams))
+
+
+def test_every_walk_names_an_overflowing_sum():
+    # weights near the float64 limit overflow layer 2's weighted sums, which
+    # tanh would turn into ones; each walk names the unit instead
+    model = helpers.toy_model(seed=35)
+    arch, S = model.arch, model.anchor_samples
+    arch.layers[0].weights = np.full_like(arch.layers[0].weights, 1.5e308)
+    with pytest.raises(NumericRangeError, match="layer 2, unit 1"):
+        build_dmn(arch, AnchorSet(samples=S))
+    with pytest.raises(NumericRangeError, match="layer 2, unit 1"):
+        list(gram_layers(arch, [gram_matrix(spec, S) for spec in arch.input_kernels]))
+    with pytest.raises(NumericRangeError, match="layer 2, unit 1"):
+        dkn_pair(arch, S[0], S[0])
+
+
+def test_implicit_walks_name_an_overflowing_activation():
+    # the scaled last layer's sums are finite, but their exp is not
+    model = helpers.toy_model(seed=35, scale=0.05)
+    arch, S = model.arch, model.anchor_samples
+    arch.layers[-1].weights = arch.layers[-1].weights * 1e6
+    with pytest.raises(NumericRangeError, match="layer 3, unit 1"):
+        list(gram_layers(arch, [gram_matrix(spec, S) for spec in arch.input_kernels]))
+    with pytest.raises(NumericRangeError, match="layer 3, unit 1"):
+        dkn_pair(arch, S[0], S[1])
 
 
 def test_dkn_classify_matches_manual_dual_sum():
@@ -296,7 +339,7 @@ def test_identity_convex_combination_stays_in_envelope():
             layers=[LayerSpec(width=1, activation="identity",
                               weights=[[a, 1.0 - a]])],
         )
-        out = dkn_forward_grams(arch, grams)[-1][0].values
+        out = list(gram_layers(arch, grams))[-1][0].values
         lo = np.minimum(grams[0].values, grams[1].values)
         hi = np.maximum(grams[0].values, grams[1].values)
         assert (out >= lo - 1e-12).all()

@@ -35,3 +35,10 @@ def test_package_imports_form_a_dag():
                  if name not in done and deps[name] <= done}
         assert ready, f"import cycle among {sorted(set(deps) - done)}"
         done |= ready
+
+
+def test_every_public_name_resolves_once():
+    # a name deleted from the package must leave the export list too
+    names = dmapnet.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(dmapnet, name)] == []

@@ -299,6 +299,10 @@ def _huge_head_on_a_zero_width_map(header):
     header["head"]["classes"] = 2**70
 
 
+def _one_more_discarded(header):
+    header["units"][0][0]["clip_report"]["discarded"] += 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (helpers.setting("anchor_count", value="abc"), "model header"),
     (helpers.setting("arch", "layers", 0, "width", value="x"), "model header"),
@@ -313,10 +317,15 @@ def _huge_head_on_a_zero_width_map(header):
     (helpers.setting("anchor_ids", value=["a"] * 6), "anchor_ids"),
     (helpers.setting("anchor_ids", value=[[1], [2], {}, None, 1.5, True]),
      "anchor_ids"),
+    (helpers.setting("units", 1, 0, "clip_report", value=None), "model header"),
+    (helpers.setting("units", 1, 0, "clip_report", "retained", value=999),
+     "layer 2, unit 1: clip report keeps 999"),
+    (_one_more_discarded, "layer 1, unit 1: clip report"),
 ], ids=["anchor-count", "layer-width", "units", "negative-shape",
         "non-integer-width", "head-classes", "input-unit-without-kernel",
         "width-past-the-payload", "huge-empty-head", "duplicate-anchor-ids",
-        "unhashable-anchor-ids"])
+        "unhashable-anchor-ids", "null-clip-report", "clip-report-unlike-width",
+        "clip-report-unlike-anchor-count"])
 def test_load_rejects_malformed_header_fields(tmp_path, edit, message):
     path = helpers.saved_with_header(tmp_path / "model.bin", edit, seed=23)
     with pytest.raises(FormatError, match=message):
