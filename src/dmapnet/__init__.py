@@ -25,8 +25,8 @@ from .metrics import EvalReport, evaluate, f_measure
 from .model import (ClassifierHead, DmnModel, DmnUnit, classify, forward_batch,
                     input_kernel_rows, load_model, save_model, score_batch)
 from .training import (TrainConfig, TrainLogEntry, backprop, cross_validate_C,
-                       format_history, grad_output, objective, svm_solve, train,
-                       train_with_guard)
+                       format_history, forward_trace, grad_output, objective,
+                       svm_solve, train, train_with_guard)
 
 __version__ = "0.1.0"
 
@@ -41,9 +41,9 @@ __all__ = [
     "default_architecture", "default_input_kernels", "dkn_classify",
     "dkn_pair", "eigen_projection", "eval_kernel", "evaluate", "f_measure",
     "finite_difference_gradients", "format_history", "forward_batch",
-    "generate_synthetic", "grad_output", "gradient_check", "gram_layers",
-    "gram_matrix", "input_kernel_rows", "load_architecture", "load_dataset",
-    "load_model", "objective", "random_mixing_weights",
+    "forward_trace", "generate_synthetic", "grad_output", "gradient_check",
+    "gram_layers", "gram_matrix", "input_kernel_rows", "load_architecture",
+    "load_dataset", "load_model", "objective", "random_mixing_weights",
     "reconstruction_errors", "run_bench", "save_dataset", "save_model",
     "score_batch", "svm_solve", "train", "train_with_guard",
 ]

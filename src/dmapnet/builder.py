@@ -199,9 +199,7 @@ def reconstruction_errors(model: DmnModel) -> list:
     names its layer and unit.
     """
     S = model.anchor_samples
-    _, trace = forward_batch(model, S)
-    maps = trace.out
-    del trace  # the kernel rows and activations are not needed
+    _, maps = forward_batch(model, S)
     reference = gram_layers(model.arch,
                             (gram_matrix(spec, S) for spec in model.arch.input_kernels))
     errors = []

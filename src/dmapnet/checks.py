@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .model import ClassifierHead, DmnModel, forward_batch
-from .training import backprop, grad_output, objective, parameters
+from .model import ClassifierHead, DmnModel, input_kernel_rows
+from .training import backprop, forward_trace, grad_output, objective, parameters
 
 # Coordinates pass when |analytic - numeric| <= max(tol * scale, FD_FLOOR);
 # the floor absorbs finite-difference rounding noise on dead coordinates.
@@ -61,8 +61,8 @@ def gradient_check(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
 
     Returns ``(all_passed, rows)``.
     """
-    final, trace = forward_batch(model, data.features)
-    out_grads = grad_output(head, final, data.labels)
+    trace = forward_trace(model, input_kernel_rows(model, data.features))
+    out_grads = grad_output(head, trace.final, data.labels)
     analytic = backprop(model, trace, out_grads)
     numeric = finite_difference_gradients(model, head, data, step=step)
 

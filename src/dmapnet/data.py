@@ -142,12 +142,16 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     )
 
 
+# a label is exactly -1.0 or +1.0 and is written as an integer
+_LABEL_TEXT = {-1.0: "-1", 1.0: "1"}
+
+
 def save_dataset(data: LabeledDataset, path) -> None:
+    row = "\t".join(["%s"] + ["%.17g"] * data.num_features + ["%s"] * data.num_classes)
     lines = [f"{data.num_features}\t{data.num_classes}\t{data.num_samples}"]
-    for i in range(data.num_samples):
-        feats = "\t".join(format(v, ".17g") for v in data.features[i])
-        labs = "\t".join(str(int(v)) for v in data.labels[i])
-        lines.append(f"{data.ids[i]}\t{feats}\t{labs}")
+    for ident, feats, labs in zip(data.ids, data.features.tolist(),
+                                  data.labels.tolist()):
+        lines.append(row % (ident, *feats, *[_LABEL_TEXT[v] for v in labs]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -176,25 +180,25 @@ def load_dataset(path) -> LabeledDataset:
         raise FormatError(f"line 1: non-integer header field ({err})") from err
     if d < 1 or K < 1 or n < 1:
         raise FormatError("line 1: header fields must be positive")
-    rows = [line for line in lines[1:] if line != ""]
+    # blank lines are skipped, and every message names the row's file line
+    rows = [(no, line) for no, line in enumerate(lines[1:], start=2) if line != ""]
     if len(rows) != n:
         raise FormatError(
             f"header promises {n} samples but the file holds {len(rows)}"
         )
     fields = []
-    for i, line in enumerate(rows):
+    for line_no, line in rows:
         toks = line.split("\t")
         if len(toks) != 1 + d + K:
             raise FormatError(
-                f"line {i + 2}: expected {1 + d + K} fields, got {len(toks)}"
+                f"line {line_no}: expected {1 + d + K} fields, got {len(toks)}"
             )
-        fields.append(toks)
+        fields.append((line_no, toks))
     # every row holds its fields, so the arrays are no larger than the text
     ids = []
     features = np.empty((n, d))
     labels = np.empty((n, K))
-    for i, toks in enumerate(fields):
-        line_no = i + 2
+    for i, (line_no, toks) in enumerate(fields):
         ids.append(toks[0])
         try:
             features[i] = [float(tok) for tok in toks[1:1 + d]]

@@ -12,9 +12,11 @@ layer maps a sample through its pre-activation
 each lower unit's map ``phi_q`` with that unit's anchors ``M_q``,
 activated with its layer's activation and times its projection.
 Inference therefore never touches any training set, only the fixed anchor
-matrices.  The forward pass walks up from layer 1, whose activations are
-the kernel rows.  The ``ClipReport`` each unit stores is defined here beside
-it; a model file's reports must agree with their units.
+matrices.  One walk maps samples up from layer 1, whose activations are
+the kernel rows: ``forward_batch`` keeps only its maps, and training keeps
+the activations too, for backprop.  The ``ClipReport`` each unit stores
+is defined here beside it; a model file's reports must agree with their
+units.
 """
 
 from __future__ import annotations
@@ -195,24 +197,6 @@ class ClassifierHead:
                    trade_offs)
 
 
-@dataclass
-class BatchTrace:
-    """Forward intermediates for a batch: per layer, per unit, the
-    activated pre-activation (samples x anchors; the input layer's kernel
-    rows) and the map output (samples x unit width)."""
-
-    h: list
-    out: list
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.out[-1][0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.out[0][0].shape[0]
-
-
 def input_kernel_rows(model: DmnModel, X) -> list:
     """Kernel values of each sample against the anchor samples, one matrix
     per input unit.  These depend only on the anchor samples and the base
@@ -229,37 +213,52 @@ def input_kernel_rows(model: DmnModel, X) -> list:
             for spec in model.arch.input_kernels]
 
 
-def forward_batch(model: DmnModel, X, kernel_rows=None) -> tuple:
+def walk(model: DmnModel, kernel_rows):
+    """Map samples up through every unit from their kernel rows, one matrix
+    per input unit, yielding ``(index, activation, map)`` unit by unit,
+    bottom-up, where ``index`` is the unit's layer's place in
+    ``model.layers``.
+
+    A unit's activation is its activated pre-activation (samples x
+    anchors; layer 1's are the kernel rows) and its map is the activation
+    times the unit's projection.  The walk keeps no activation it has
+    yielded, and it keeps a layer's maps only until the layer above has
+    combined them, so a caller that drops what it does not need holds
+    nothing more.  Overflow is computed silently, but never while the walk
+    is suspended; a non-finite map raises NumericRangeError naming its
+    layer and unit, as does ``activate`` for a non-finite sum.
+    """
+    hs = list(kernel_rows)
+    del kernel_rows  # hs alone holds the rows here, each until it is yielded
+    for i, units in enumerate(model.layers):
+        if i:
+            spec = model.arch.layers[i - 1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # one lower product alive at a time
+                hs = activate(spec, i + 1, combine(spec.weights, (
+                    phi @ unit.anchors.T
+                    for phi, unit in zip(maps, model.layers[i - 1]))))
+        maps = []
+        for p, unit in enumerate(units, start=1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                maps.append(hs[0] @ unit.projection)
+            check_finite(maps[-1], i + 1, p, "map")
+            yield i, hs.pop(0), maps[-1]
+
+
+def forward_batch(model: DmnModel, X) -> tuple:
     """Map a batch of samples through every unit.
 
-    Returns ``(final_maps, trace)`` where ``final_maps`` is the output of
-    the last layer's one unit and ``trace`` is a BatchTrace with every
-    activated inner-product matrix and map.
+    Returns ``(final_maps, maps)``: the output of the last layer's one unit
+    and, per layer, every unit's map (samples x unit width).  Each unit's
+    activation goes as soon as its map exists; training keeps them in its
+    own trace for backprop.
     """
-    if kernel_rows is None:
-        kernel_rows = input_kernel_rows(model, X)
-    h_layers = []
-    out_layers = []
-    hs = list(kernel_rows)
-    # overflow may pass through as inf/nan silently; activate and the map
-    # check raise with the offending unit named
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l, units in enumerate(model.layers, start=1):
-            if l > 1:
-                spec = model.arch.layers[l - 2]
-                # one lower product alive at a time; the sums become the trace's h
-                hs = activate(spec, l, combine(spec.weights, (
-                    phi @ unit.anchors.T
-                    for phi, unit in zip(outs, model.layers[l - 2]))))
-            outs = []
-            for p, (unit, h) in enumerate(zip(units, hs), start=1):
-                phi = h @ unit.projection
-                check_finite(phi, l, p, "map")
-                outs.append(phi)
-            h_layers.append(hs)
-            out_layers.append(outs)
-    trace = BatchTrace(h=h_layers, out=out_layers)
-    return trace.final, trace
+    maps = [[] for _ in model.layers]
+    for i, h, phi in walk(model, input_kernel_rows(model, X)):
+        del h  # the activation goes now that its map exists
+        maps[i].append(phi)
+    return maps[-1][0], maps
 
 
 def check_head_width(model: DmnModel, head: ClassifierHead) -> None:

@@ -10,7 +10,9 @@ never increases.
 
 ``parameters`` is the one list of trainable arrays: ``backprop`` returns
 gradients in its order, ``apply_gradients`` steps along it, the guard
-snapshots it and the gradient check names its rows after it.
+snapshots it and the gradient check names its rows after it.  Each
+evaluation walks the model once through ``forward_trace``, the one forward
+pass that keeps the activations ``backprop`` reads.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .data import LabeledDataset
 from .dkn import activation_prime, combine
 from .errors import ConfigError, InputError, NumericRangeError, TrainingDivergedError
 from .metrics import f_measure
-from .model import (BatchTrace, ClassifierHead, DmnModel, check_head_width,
-                    forward_batch, input_kernel_rows)
+from .model import (ClassifierHead, DmnModel, check_head_width, forward_batch,
+                    input_kernel_rows, walk)
 
 CONVERGENCE_WINDOW = 10
 NEWTON_TOL_SCALE = 1e-6
@@ -195,6 +197,35 @@ def svm_solve(final_maps, labels, c_policy, initial=None) -> np.ndarray:
     return omega
 
 
+@dataclass
+class BatchTrace:
+    """What backprop reads of a forward pass: per layer, per unit, the
+    activation (samples x anchors; layer 1's are the kernel rows) and the
+    map (samples x unit width)."""
+
+    h: list
+    out: list
+
+    @property
+    def final(self) -> np.ndarray:
+        return self.out[-1][0]
+
+    @property
+    def num_samples(self) -> int:
+        return self.out[0][0].shape[0]
+
+
+def forward_trace(model: DmnModel, kernel_rows) -> BatchTrace:
+    """The forward walk from the samples' kernel rows (``input_kernel_rows``,
+    which the caller may keep and pass again), keeping every activation and
+    map for ``backprop``.  The maps are those ``forward_batch`` returns."""
+    trace = BatchTrace(h=[[] for _ in model.layers], out=[[] for _ in model.layers])
+    for i, h, phi in walk(model, kernel_rows):
+        trace.h[i].append(h)
+        trace.out[i].append(phi)
+    return trace
+
+
 def _objective_terms(omega, F, Y, C):
     scores = F @ omega.T
     margins = np.maximum(0.0, 1.0 - Y * scores)
@@ -221,14 +252,15 @@ def grad_output(head: ClassifierHead, final_maps, labels) -> np.ndarray:
     return -2.0 * ((C[None, :] * Y * margins) @ head.normals)
 
 
-# overflow passes silently, as in forward_batch; the finite check names it
+# overflow passes silently, as in the forward walk; the finite check names it
 @np.errstate(over="ignore", invalid="ignore")
 def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
     """Gradients of the objective, one array per entry of
     ``parameters(model)`` and in its order.
 
-    ``batch`` is the forward trace of the same samples ``output_grads``
-    refers to.  A non-finite gradient raises ``NumericRangeError`` naming
+    ``batch`` is ``forward_trace``'s record of the samples ``output_grads``
+    refers to; its activations and maps are read as they are, and none is
+    recomputed.  A non-finite gradient raises ``NumericRangeError`` naming
     its parameter.
     """
     G = np.asarray(output_grads, dtype=np.float64)
@@ -327,7 +359,8 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
             # overflow surfaces as a non-finite objective or as one of the
             # errors below, and either way rejects the evaluation
             with np.errstate(over="ignore", invalid="ignore"):
-                final, trace = forward_batch(model, X, kernel_rows=kernel_rows)
+                trace = forward_trace(model, kernel_rows)
+                final = trace.final
                 omega = svm_solve(final, Y, C, initial=head.normals)
                 total, hinge, reg = _objective_terms(omega, final, Y, C)
             if not np.isfinite(total):

@@ -196,13 +196,13 @@ def test_reconstruction_errors_match_svd_norms():
     S = model.anchor_samples
     reference = list(gram_layers(
         model.arch, [gram_matrix(spec, S) for spec in model.arch.input_kernels]))
-    _, trace = forward_batch(model, S)
+    _, maps = forward_batch(model, S)
     errors = reconstruction_errors(model)
     assert [len(layer) for layer in errors] == model.arch.widths
     for l, layer in enumerate(errors):
         for p, error in enumerate(layer):
             K = reference[l][p].values
-            phi = trace.out[l][p]
+            phi = maps[l][p]
             expected = np.linalg.norm(phi @ phi.T - K, 2) / np.linalg.norm(K, 2)
             assert error == pytest.approx(expected, rel=1e-12, abs=0.0)
 

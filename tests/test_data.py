@@ -136,6 +136,33 @@ def test_format_errors_carry_line_numbers(tmp_path):
         load_dataset(path)
 
 
+def test_format_errors_name_the_file_line_after_blank_lines(tmp_path):
+    path = tmp_path / "data.tsv"
+    cases = [("s1\tx\t0.0\t-1", r"line 4: bad feature value"),
+             ("s1\t0.0\t0.0\t2", r"line 4: label"),
+             ("s1\t0.0\t-1", r"line 4: expected 4 fields")]
+    for bad, message in cases:
+        path.write_text(f"2\t1\t2\n\ns0\t0.0\t0.0\t1\n{bad}\n")
+        with pytest.raises(FormatError, match=message):
+            load_dataset(path)
+
+
+def test_saved_text_is_each_value_at_17_digits(tmp_path):
+    data = generate_synthetic(SyntheticSpec(num_samples=200, num_features=10,
+                                            num_classes=5, noise=0.1, seed=1))
+    path = tmp_path / "data.tsv"
+    save_dataset(data, path)
+    rows = ["10\t5\t200"] + [
+        "\t".join([ident] + [format(v, ".17g") for v in feats]
+                  + [str(int(v)) for v in labs])
+        for ident, feats, labs in zip(data.ids, data.features, data.labels)]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
+    again = load_dataset(path)
+    assert (again.features == data.features).all()
+    assert (again.labels == data.labels).all()
+    assert again.ids == data.ids
+
+
 def test_non_utf8_dataset_is_format_error(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_bytes(b"2\t1\t1\ns\xff\t0.0\t0.0\t1\n")

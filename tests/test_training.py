@@ -9,11 +9,15 @@ import pytest
 import helpers
 from dmapnet import (ClassifierHead, ConfigError, InputError, LabeledDataset,
                      NumericRangeError, TrainConfig, TrainingDivergedError,
-                     backprop, cross_validate_C, forward_batch, format_history,
-                     grad_output, objective, svm_solve, train,
-                     train_with_guard)
+                     backprop, cross_validate_C, forward_batch, forward_trace,
+                     format_history, grad_output, input_kernel_rows, objective,
+                     svm_solve, train, train_with_guard)
 from dmapnet.training import (CONVERGENCE_WINDOW, apply_gradients,
                               as_per_class_c, parameters)
+
+
+def _trace(model, data):
+    return forward_trace(model, input_kernel_rows(model, data.features))
 
 
 def test_solver_closed_form_symmetric_pair():
@@ -122,6 +126,22 @@ def test_objective_decomposition():
     npt.assert_allclose(objective(model, head, data), by_hand, rtol=1e-12)
 
 
+def test_training_trace_has_forward_batch_maps():
+    # training walks from its cached kernel rows, which stay whole for the
+    # next evaluation, and its maps are forward_batch's, bit for bit
+    model = helpers.toy_model(seed=7)
+    X = np.random.default_rng(8).uniform(0.0, 0.5, size=(6, 3))
+    rows = input_kernel_rows(model, X)
+    _, maps = forward_batch(model, X)
+    for _ in range(2):
+        trace = forward_trace(model, rows)
+        assert [len(layer) for layer in trace.out] == model.arch.widths
+        for traced, kept in zip(trace.out, maps, strict=True):
+            assert all((a == b).all() for a, b in zip(traced, kept, strict=True))
+        assert all(h is k for h, k in zip(trace.h[0], rows, strict=True))
+    assert trace.final is trace.out[-1][0]
+
+
 def test_backprop_matches_finite_differences():
     from dmapnet import finite_difference_gradients
 
@@ -131,8 +151,8 @@ def test_backprop_matches_finite_differences():
     with_zero = helpers.toy_problem(seed=45)[0]
     with_zero.arch.layers[0].weights[0, 0] = 0.0
     for m in (model, with_zero):
-        final, trace = forward_batch(m, data.features)
-        grads = backprop(m, trace, grad_output(head, final, data.labels))
+        trace = _trace(m, data)
+        grads = backprop(m, trace, grad_output(head, trace.final, data.labels))
         numeric = finite_difference_gradients(m, head, data, step=1e-5)
         params = parameters(m)
         assert len(grads) == len(numeric) == len(params)
@@ -145,8 +165,8 @@ def test_backprop_matches_finite_differences():
 
 def test_apply_gradients_clips_weights():
     model, head, data = helpers.toy_problem(seed=47)
-    final, trace = forward_batch(model, data.features)
-    grads = backprop(model, trace, grad_output(head, final, data.labels))
+    trace = _trace(model, data)
+    grads = backprop(model, trace, grad_output(head, trace.final, data.labels))
     first_weights = [i for i, (_, owner, _) in enumerate(parameters(model))
                      if owner is model.arch.layers[0]]
     assert len(first_weights) == 1
@@ -157,8 +177,8 @@ def test_apply_gradients_clips_weights():
 
 def test_backprop_names_the_non_finite_parameter():
     model, head, data = helpers.toy_problem(seed=48)
-    final, trace = forward_batch(model, data.features)
-    out_grads = grad_output(head, final, data.labels)
+    trace = _trace(model, data)
+    out_grads = grad_output(head, trace.final, data.labels)
     out_grads[0, 0] = np.inf
     name = r"[UA]\[layer \d+\]\[unit \d+\]"
     with np.errstate(invalid="ignore", over="ignore"):
@@ -307,8 +327,8 @@ def test_apply_gradients_leaves_replaced_arrays_unchanged():
     # the training loop snapshots parameters by reference, which is only
     # sound while a step rebinds the arrays instead of writing into them
     model, head, data = helpers.toy_problem(seed=66)
-    final, trace = forward_batch(model, data.features)
-    grads = backprop(model, trace, grad_output(head, final, data.labels))
+    trace = _trace(model, data)
+    grads = backprop(model, trace, grad_output(head, trace.final, data.labels))
     owners = [(unit, name) for units in model.layers for unit in units
               for name in ("projection", "anchors")]
     owners += [(spec, "weights") for spec in model.arch.layers]
@@ -335,9 +355,9 @@ def test_backtracking_never_reruns_an_accepted_iteration(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return forward_batch(*args, **kwargs)
+        return forward_trace(*args, **kwargs)
 
-    monkeypatch.setattr(training, "forward_batch", counted)
+    monkeypatch.setattr(training, "forward_trace", counted)
     cfg = TrainConfig(learning_rate=10.0, max_iters=15, c_policy=4.0,
                       convergence_tol=0.0)
     _, _, history, eta = train_with_guard(model, head, data, cfg,
