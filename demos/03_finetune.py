@@ -35,8 +35,7 @@ print(f"before fine-tuning: MF-S {before.mf_samples:.4f}, "
 
 head = ClassifierHead.random(data.num_classes, model.final_width,
                              trade_off=C, seed=4)
-cfg = TrainConfig(learning_rate=1e-6, max_iters=120, c_policy=C,
-                  convergence_tol=1e-7, seed=4)
+cfg = TrainConfig(max_iters=120, c_policy=C, convergence_tol=1e-7, seed=4)
 trained, trained_head, history, eta = train_with_guard(model, head, data, cfg)
 halvings = round(np.log2(cfg.learning_rate / eta))
 print(f"\nfinal learning rate {eta:.3e} after {halvings} halvings")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,9 +20,6 @@ from .builder import AnchorSet, DEFAULT_CLIP_RATIO, build_dmn
 from .dkn import DknArchitecture, dkn_classify
 from .errors import ConfigError, drawing
 from .model import ClassifierHead, classify
-
-# A row is flagged when the clock cannot resolve 1% of the measured mean.
-_RESOLUTION_FRACTION = 0.01
 
 
 @dataclass
@@ -32,7 +30,6 @@ class BenchRow:
     std_seconds: float
     median_seconds: float
     repetitions: int
-    unreliable: bool = False
 
 
 @dataclass
@@ -42,9 +39,6 @@ class BenchReport:
     num_classes: int
     notes: str = ("dmn timings include first-layer kernel evaluation against "
                   "the anchors")
-    timer_resolution: float = field(
-        default_factory=lambda: time.get_clock_info("perf_counter").resolution
-    )
 
     def __post_init__(self):
         for row in self.rows:
@@ -56,19 +50,17 @@ class BenchReport:
     def to_tsv(self) -> str:
         lines = [f"# anchors={self.anchor_count} classes={self.num_classes}",
                  f"# {self.notes}",
-                 "framework\tsupport_size\tmean_s\tstd_s\tmedian_s\treps\tunreliable"]
+                 "framework\tsupport_size\tmean_s\tstd_s\tmedian_s\treps"]
         for r in self.rows:
             lines.append(
                 f"{r.framework}\t{r.support_size}\t{r.mean_seconds:.9f}\t"
-                f"{r.std_seconds:.9f}\t{r.median_seconds:.9f}\t{r.repetitions}\t"
-                f"{int(r.unreliable)}"
+                f"{r.std_seconds:.9f}\t{r.median_seconds:.9f}\t{r.repetitions}"
             )
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         obj = {"anchor_count": self.anchor_count,
                "num_classes": self.num_classes, "notes": self.notes,
-               "timer_resolution": self.timer_resolution,
                "rows": [asdict(r) for r in self.rows]}
         return json.dumps(obj, indent=2) + "\n"
 
@@ -79,17 +71,23 @@ class BenchReport:
         raise KeyError((framework, size))
 
 
-def _row(framework, size, times, resolution) -> BenchRow:
+def _row(framework, size, classify_one, warm_up, queries) -> BenchRow:
+    """Time ``classify_one`` on each query after one unmeasured call on
+    ``warm_up``."""
+    classify_one(warm_up)
+    times = []
+    for query in queries:
+        t0 = time.perf_counter()
+        classify_one(query)
+        times.append(time.perf_counter() - t0)
     times = np.asarray(times, dtype=np.float64)
-    mean = float(np.mean(times))
     return BenchRow(
         framework=framework,
         support_size=int(size),
-        mean_seconds=mean,
+        mean_seconds=float(np.mean(times)),
         std_seconds=float(np.std(times)),
         median_seconds=float(np.median(times)),
         repetitions=times.size,
-        unreliable=bool(resolution > _RESOLUTION_FRACTION * mean),
     )
 
 
@@ -121,7 +119,6 @@ def run_bench(arch: DknArchitecture, anchors: AnchorSet, sizes=(500, 1000, 2000,
     with drawing(f"a head of {num_classes} classes"):
         head = ClassifierHead.random(num_classes, model.final_width,
                                      trade_off=1.0, seed=seed)
-    resolution = time.get_clock_info("perf_counter").resolution
     with drawing(f"{reps} queries, one per repetition"):
         queries = draw(reps)
     rows = []
@@ -129,21 +126,11 @@ def run_bench(arch: DknArchitecture, anchors: AnchorSet, sizes=(500, 1000, 2000,
         with drawing(f"{size} supports for {num_classes} classes"):
             support = draw(size)
             dual = rng.standard_normal((num_classes, size))
-        bias = np.zeros(num_classes)
-        dkn_classify(arch, support, dual, bias, draw(1)[0])
-        times = []
-        for r in range(reps):
-            t0 = time.perf_counter()
-            dkn_classify(arch, support, dual, bias, queries[r])
-            times.append(time.perf_counter() - t0)
-        rows.append(_row("dkn", size, times, resolution))
+        classify_one = partial(dkn_classify, arch, support, dual,
+                               np.zeros(num_classes))
+        rows.append(_row("dkn", size, classify_one, draw(1)[0], queries))
     for size in sizes:
-        classify(model, head, draw(1)[0])
-        times = []
-        for r in range(reps):
-            t0 = time.perf_counter()
-            classify(model, head, queries[r])
-            times.append(time.perf_counter() - t0)
-        rows.append(_row("dmn", size, times, resolution))
+        rows.append(_row("dmn", size, partial(classify, model, head),
+                         draw(1)[0], queries))
     return BenchReport(rows=rows, anchor_count=anchors.count,
                        num_classes=num_classes)

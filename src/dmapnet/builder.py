@@ -199,6 +199,9 @@ def reconstruction_errors(model: DmnModel) -> list:
     names its layer and unit.
     """
     S = model.anchor_samples
+    # The maps come first: walking the model beside gram_layers instead
+    # would keep a layer's activations alive next to two layers of
+    # reference grams, a higher peak for the same errors.
     _, maps = forward_batch(model, S)
     reference = gram_layers(model.arch,
                             (gram_matrix(spec, S) for spec in model.arch.input_kernels))

@@ -11,24 +11,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
+from .errors import ConfigError
 from .model import ClassifierHead, DmnModel, input_kernel_rows
 from .training import backprop, forward_trace, grad_output, objective, parameters
 
 # Coordinates pass when |analytic - numeric| <= max(tol * scale, FD_FLOOR);
 # the floor absorbs finite-difference rounding noise on dead coordinates.
 FD_FLOOR = 1e-7
+FD_STEP = 1e-5
+FD_TOL = 1e-4
 
 
 def finite_difference_gradients(model: DmnModel, head: ClassifierHead,
                                 data: LabeledDataset,
-                                step: float = 1e-5) -> list:
+                                step: float = FD_STEP) -> list:
     """Central-difference gradients for every trainable coordinate, one
     array per entry of ``parameters(model)`` and in its order.
 
     The classifier normals stay fixed, matching what ``backprop`` measures.
     The objective is linear in each mixing weight, so differences at and
-    across zero weights are as valid as anywhere else.
+    across zero weights are as valid as anywhere else.  ``step`` must be
+    positive and finite.
     """
+    if not 0 < step < np.inf:
+        raise ConfigError(f"step must be positive and finite, got {step!r}")
     work = copy.deepcopy(model)
 
     def differences(arr):
@@ -56,15 +62,18 @@ class GradCheckRow:
 
 
 def gradient_check(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
-                   step: float = 1e-5, tol: float = 1e-4) -> tuple:
+                   step: float = FD_STEP, tol: float = FD_TOL) -> tuple:
     """Compare analytic and numeric gradients coordinate by coordinate.
 
-    Returns ``(all_passed, rows)``.
+    Returns ``(all_passed, rows)``.  ``step`` and ``tol`` must be positive
+    and finite.
     """
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
+    numeric = finite_difference_gradients(model, head, data, step=step)
     trace = forward_trace(model, input_kernel_rows(model, data.features))
     out_grads = grad_output(head, trace.final, data.labels)
     analytic = backprop(model, trace, out_grads)
-    numeric = finite_difference_gradients(model, head, data, step=step)
 
     rows = []
     for (name, _, _), grad_a, grad_n in zip(parameters(model), analytic, numeric):

@@ -20,7 +20,7 @@ import numpy as np
 from .bench import run_bench
 from .builder import (AnchorSet, DEFAULT_CLIP_RATIO, build_dmn,
                       reconstruction_errors)
-from .checks import gradient_check
+from .checks import FD_STEP, FD_TOL, gradient_check
 from .data import (LabeledDataset, SyntheticSpec, generate_synthetic,
                    load_dataset, save_dataset)
 from .dkn import (DknArchitecture, LayerSpec, default_architecture,
@@ -31,8 +31,8 @@ from .fileio import atomic_write_text
 from .kernels import KernelSpec
 from .metrics import evaluate
 from .model import ClassifierHead, load_model, save_model, score_batch
-from .training import (TrainConfig, cross_validate_C, format_history,
-                       train_with_guard)
+from .training import (DEFAULT_CV_FOLDS, DEFAULT_CV_GRID, TrainConfig,
+                       cross_validate_C, format_history, train_with_guard)
 
 
 class _UsageError(Exception):
@@ -51,6 +51,7 @@ def _log(message: str) -> None:
 # name -> (converter, default, help).  Required options use _REQUIRED.
 _REQUIRED = object()
 _CLIP_RATIO = (float, DEFAULT_CLIP_RATIO, "relative eigenvalue clip threshold")
+_TRAIN = TrainConfig()
 
 _TABLES = {
     "gen-data": {
@@ -79,14 +80,17 @@ _TABLES = {
         "data": (str, _REQUIRED, "training dataset"),
         "out": (str, _REQUIRED, "trained model file to write"),
         "log": (str, None, "objective log file (tab-separated)"),
-        "eta": (float, 1e-6, "first learning rate; halved until the "
-                             "objective log is non-increasing"),
-        "max-iters": (int, 500, "iteration cap"),
-        "tol": (float, 1e-6, "relative objective change treated as converged"),
+        "eta": (float, _TRAIN.learning_rate, "first learning rate; halved "
+                "until the objective log is non-increasing"),
+        "max-iters": (int, _TRAIN.max_iters, "iteration cap"),
+        "tol": (float, _TRAIN.convergence_tol,
+                "relative objective change treated as converged"),
         "c": (float, None, "single trade-off for every class (skips CV)"),
-        "cv-folds": (int, 3, "cross-validation folds for the trade-offs"),
-        "cv-grid": (str, "0.01,0.1,1,10", "comma-separated trade-off grid"),
-        "seed": (int, 0, "seed for classifier initialization"),
+        "cv-folds": (int, DEFAULT_CV_FOLDS,
+                     "cross-validation folds for the trade-offs"),
+        "cv-grid": (str, ",".join(f"{c:g}" for c in DEFAULT_CV_GRID),
+                    "comma-separated trade-off grid"),
+        "seed": (int, _TRAIN.seed, "seed for classifier initialization"),
     },
     "eval": {
         "model": (str, _REQUIRED, "trained model file"),
@@ -95,8 +99,8 @@ _TABLES = {
     },
     "gradcheck": {
         "seed": (int, 0, "seed for the toy model and data"),
-        "step": (float, 1e-5, "central difference step"),
-        "tol": (float, 1e-4, "relative agreement required per coordinate"),
+        "step": (float, FD_STEP, "central difference step"),
+        "tol": (float, FD_TOL, "relative agreement required per coordinate"),
         "out": (str, None, "write the comparison table here instead of stdout"),
     },
     "bench": {
@@ -240,7 +244,7 @@ def _cmd_train(opts) -> int:
     model, head = load_model(opts["model"])
     data = load_dataset(opts["data"])
     if opts["c"] is not None:
-        c_policy = np.full(data.num_classes, float(opts["c"]))
+        c_policy = opts["c"]
         _log(f"using fixed trade-off {opts['c']:g} for all classes")
     else:
         grid = _parse_float_list(opts["cv_grid"], "cv-grid")
@@ -281,7 +285,8 @@ def _cmd_eval(opts) -> int:
 
 
 def _gradcheck_fixture(seed: int):
-    """A small model and dataset exercising every activation kind."""
+    """A small model and dataset: linear and rbf input kernels under a tanh
+    layer and the exp output layer."""
     rng = np.random.default_rng(seed)
     n, d, K, n_anchor = 8, 3, 2, 5
     X = rng.normal(0.0, 1.0, size=(n, d))
@@ -351,8 +356,9 @@ def _cmd_bench(opts) -> int:
 
 
 def _cmd_prop1_check(opts) -> int:
-    if not opts["scale"] > 0:
-        raise ConfigError("scale must be positive")
+    for name in ("scale", "tol"):
+        if not 0 < opts[name] < np.inf:
+            raise ConfigError(f"--{name} must be positive and finite")
     rng = np.random.default_rng(opts["seed"])
     anchors = AnchorSet(samples=_anchor_samples(
         opts, lambda shape: rng.uniform(0.0, opts["scale"], shape)))

@@ -159,26 +159,35 @@ def _check_shapes(model: DmnModel) -> None:
                 )
 
 
+def as_per_class_c(c_policy, num_classes: int) -> np.ndarray:
+    """The one trade-off rule: ``c_policy`` as one positive, finite value
+    per class.  A scalar is broadcast over the classes; a float64 array of
+    the right shape comes back as it is, uncopied."""
+    c = np.asarray(c_policy, dtype=np.float64)
+    if c.ndim == 0:
+        c = np.full(num_classes, c)
+    if c.shape != (num_classes,):
+        raise ConfigError(f"need one trade-off per class ({num_classes}), "
+                          f"got shape {c.shape}")
+    if not np.isfinite(c).all() or not (c > 0).all():
+        raise ConfigError("trade-offs must be positive and finite")
+    return c
+
+
 @dataclass
 class ClassifierHead:
     """Per-class linear weights over the final map plus hinge trade-offs."""
 
     normals: np.ndarray  # (classes, final_width)
-    trade_offs: np.ndarray  # (classes,), positive
+    trade_offs: np.ndarray  # (classes,), as as_per_class_c gives them
 
     def __post_init__(self):
         self.normals = np.asarray(self.normals, dtype=np.float64)
-        self.trade_offs = np.asarray(self.trade_offs, dtype=np.float64)
         if self.normals.ndim != 2:
             raise ConfigError("head normals must be 2-D (classes x map width)")
-        if self.trade_offs.shape != (self.normals.shape[0],):
-            raise ConfigError(
-                f"one trade-off per class ({self.normals.shape[0]}) is "
-                f"required, got shape {self.trade_offs.shape}")
+        self.trade_offs = as_per_class_c(self.trade_offs, self.normals.shape[0])
         if not np.isfinite(self.normals).all():
             raise ConfigError("head normals must be finite")
-        if not (self.trade_offs > 0).all():
-            raise ConfigError("trade-offs must be positive")
 
     @property
     def num_classes(self) -> int:
@@ -190,11 +199,7 @@ class ClassifierHead:
         """Normals drawn from ``N(0, scale**2)``; ``trade_off`` is one value
         for every class or one per class."""
         rng = np.random.default_rng(seed)
-        trade_offs = np.array(trade_off, dtype=np.float64)
-        if trade_offs.ndim == 0:
-            trade_offs = np.full(num_classes, trade_offs)
-        return cls(scale * rng.standard_normal((num_classes, width)),
-                   trade_offs)
+        return cls(scale * rng.standard_normal((num_classes, width)), trade_off)
 
 
 def input_kernel_rows(model: DmnModel, X) -> list:

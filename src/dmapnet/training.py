@@ -27,26 +27,27 @@ from .data import LabeledDataset
 from .dkn import activation_prime, combine
 from .errors import ConfigError, InputError, NumericRangeError, TrainingDivergedError
 from .metrics import f_measure
-from .model import (ClassifierHead, DmnModel, check_head_width, forward_batch,
-                    input_kernel_rows, walk)
+from .model import (ClassifierHead, DmnModel, as_per_class_c, check_head_width,
+                    forward_batch, input_kernel_rows, walk)
 
 CONVERGENCE_WINDOW = 10
 NEWTON_TOL_SCALE = 1e-6
 MAX_NEWTON_STEPS = 100
+MAX_HALVINGS = 12
 
+DEFAULT_CV_FOLDS = 3
 DEFAULT_CV_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
 @dataclass
 class TrainConfig:
-    """Knobs for the alternating loop.
+    """Knobs for the alternating loop; ``dmapnet train`` shares the defaults.
 
-    ``learning_rate`` is the first rate; the loop halves it whenever a step
-    raises the objective.  ``max_iters`` caps the logged iterations.
-    ``c_policy`` may be a scalar (broadcast over classes), a per-class
-    sequence, or None to keep the head's current trade-offs.  ``seed`` only
-    matters to callers that randomize initialization; the loop itself draws
-    nothing.
+    ``learning_rate`` is the first rate, finite and >= 0; the loop halves
+    it whenever a step raises the objective.  ``max_iters`` caps the logged
+    iterations.  ``c_policy`` follows ``as_per_class_c``, or is None to keep
+    the head's current trade-offs.  ``seed`` only matters to callers that
+    randomize initialization; the loop itself draws nothing.
     """
 
     learning_rate: float = 1e-6
@@ -56,8 +57,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and >= 0")
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
             raise ConfigError("max_iters must be an integer >= 1")
         self.max_iters = int(self.max_iters)
@@ -95,21 +96,6 @@ def parameters(model: DmnModel) -> list:
               for kind, attribute in (("U", "projection"), ("A", "anchors"))]
     return params + [(f"w[layer {l}]", spec, "weights")
                      for l, spec in enumerate(model.arch.layers, start=2)]
-
-
-def as_per_class_c(c_policy, num_classes: int) -> np.ndarray:
-    if np.isscalar(c_policy):
-        c = np.full(num_classes, float(c_policy))
-    else:
-        c = np.asarray(c_policy, dtype=np.float64)
-        if c.shape != (num_classes,):
-            raise ConfigError(
-                f"need one trade-off per class ({num_classes}), got shape {c.shape}"
-            )
-        c = c.copy()
-    if not np.isfinite(c).all() or not (c > 0).all():
-        raise ConfigError("trade-offs must be positive and finite")
-    return c
 
 
 def _check_features_labels(F, Y):
@@ -322,7 +308,7 @@ def apply_gradients(model: DmnModel, grads, learning_rate: float) -> None:
 
 
 def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
-                     cfg: TrainConfig, max_halvings: int = 12) -> tuple:
+                     cfg: TrainConfig) -> tuple:
     """Alternating optimization with a backtracking learning rate; returns
     ``(model, head, history, final_rate)``.
 
@@ -335,7 +321,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
     logged iterations, and then take one step unless ``convergence_tol``
     held for ten consecutive relative changes.  ``TrainingDivergedError``
     is raised when the first evaluation fails or a rejection arrives after
-    ``max_halvings`` halvings, or when the gradient at an accepted
+    ``MAX_HALVINGS`` halvings, or when the gradient at an accepted
     evaluation is not finite; it carries the last accepted model, head and
     history.
     """
@@ -343,9 +329,10 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
         raise ConfigError("head classes must match the dataset classes")
     check_head_width(model, head)
     model = copy.deepcopy(model)
-    C = as_per_class_c(head.trade_offs if cfg.c_policy is None else cfg.c_policy,
-                       data.num_classes)
-    head = ClassifierHead(head.normals.copy(), C)
+    # np.array copies, so the trained head aliases neither input
+    head = ClassifierHead(head.normals.copy(), np.array(
+        head.trade_offs if cfg.c_policy is None else cfg.c_policy))
+    C = head.trade_offs
     X = data.features
     Y = data.labels
     kernel_rows = input_kernel_rows(model, X)
@@ -376,7 +363,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
                 raise TrainingDivergedError(f"iteration 1: {rejection}")
             for (_, owner, attribute), array in zip(parameters(model), accepted):
                 setattr(owner, attribute, array)
-            if halvings == max_halvings:
+            if halvings == MAX_HALVINGS:
                 raise TrainingDivergedError(
                     f"iteration {len(history) + 1} at learning rate {eta:g}, "
                     f"after {halvings} halvings: {rejection}",
@@ -418,7 +405,8 @@ def train(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
     return train_with_guard(model, head, data, cfg)[:3]
 
 
-def cross_validate_C(data: LabeledDataset, model: DmnModel, folds: int = 3,
+def cross_validate_C(data: LabeledDataset, model: DmnModel,
+                     folds: int = DEFAULT_CV_FOLDS,
                      grid=DEFAULT_CV_GRID) -> np.ndarray:
     """Per-class trade-offs picked by cross-validated F-measure.
 
@@ -432,9 +420,9 @@ def cross_validate_C(data: LabeledDataset, model: DmnModel, folds: int = 3,
     folds = int(folds)
     if folds > data.num_samples:
         raise ConfigError("more folds than samples")
-    grid = sorted(set(float(c) for c in grid))
-    if not grid or not all(c > 0 for c in grid):
-        raise ConfigError("grid must hold positive trade-off values")
+    grid = sorted(set(as_per_class_c(grid, len(grid)).tolist()))
+    if not grid:
+        raise ConfigError("grid must hold at least one trade-off")
     final, _ = forward_batch(model, data.features)
     Y = data.labels
     n, K = Y.shape

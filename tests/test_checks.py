@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import dmapnet.training as training
 import helpers
-from dmapnet import (TrainConfig, TrainingDivergedError, gradient_check,
+from dmapnet import (ConfigError, TrainConfig, TrainingDivergedError,
+                     finite_difference_gradients, gradient_check,
                      train_with_guard)
 
 
@@ -52,23 +54,35 @@ def test_guard_returns_monotone_log():
     assert objs[-1] <= objs[0]
 
 
-def test_guard_halves_until_stable():
+def test_guard_halves_until_stable(monkeypatch):
     model, head, data = helpers.toy_problem(seed=64)
     # start absurdly large so several halvings must happen; the wide
     # halving budget lets the schedule reach a stable rate
+    monkeypatch.setattr(training, "MAX_HALVINGS", 40)
     cfg = TrainConfig(learning_rate=10.0, max_iters=15, c_policy=4.0,
                       convergence_tol=0.0)
-    _, _, history, eta = train_with_guard(model, head, data, cfg,
-                                          max_halvings=40)
+    _, _, history, eta = train_with_guard(model, head, data, cfg)
     assert eta < 10.0
     objs = [e.objective for e in history]
     assert all(b <= a + 1e-12 * max(1.0, abs(a))
                for a, b in zip(objs, objs[1:]))
 
 
-def test_guard_gives_up_when_nothing_works():
+def test_guard_gives_up_when_nothing_works(monkeypatch):
     model, head, data = helpers.toy_problem(seed=65)
+    monkeypatch.setattr(training, "MAX_HALVINGS", 1)
     cfg = TrainConfig(learning_rate=1e9, max_iters=10, c_policy=10.0,
                       convergence_tol=0.0)
     with pytest.raises(TrainingDivergedError):
-        train_with_guard(model, head, data, cfg, max_halvings=1)
+        train_with_guard(model, head, data, cfg)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-5, float("inf"), float("nan")])
+def test_gradient_check_refuses_a_step_or_tol_out_of_range(value):
+    model, head, data = helpers.toy_problem(seed=60)
+    with pytest.raises(ConfigError, match="step must be positive and finite"):
+        finite_difference_gradients(model, head, data, step=value)
+    with pytest.raises(ConfigError, match="step must be positive and finite"):
+        gradient_check(model, head, data, step=value)
+    with pytest.raises(ConfigError, match="tol must be positive and finite"):
+        gradient_check(model, head, data, tol=value)

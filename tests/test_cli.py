@@ -126,6 +126,63 @@ def test_train_overflowing_eta_is_halved(tmp_path, capsys):
     assert "accepted learning rate" in capsys.readouterr().err
 
 
+def test_train_refuses_an_infinite_trade_off_before_cross_validating(
+        tmp_path, capsys):
+    data_path, model_path = _small_model(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "trained.bin"), "--max-iters", "2",
+                 "--cv-grid", "1,inf"]) == 1
+    err = capsys.readouterr().err
+    assert "error: trade-offs must be positive and finite" in err
+    assert "cross-validated" not in err
+
+
+_SPECIAL_VALUES = ("nan", "inf", "-inf", "0", "-1")
+_POSITIVE_FINITE = set(_SPECIAL_VALUES)
+
+# (command, option) -> the special values the option's rule refuses
+_SPECIAL_REFUSALS = {
+    ("gradcheck", "step"): _POSITIVE_FINITE,
+    ("gradcheck", "tol"): _POSITIVE_FINITE,
+    ("prop1-check", "scale"): _POSITIVE_FINITE,
+    ("prop1-check", "tol"): _POSITIVE_FINITE,
+    ("train", "eta"): {"nan", "inf", "-inf", "-1"},  # finite and >= 0
+    ("train", "tol"): {"nan", "-inf", "-1"},  # >= 0
+    ("train", "c"): _POSITIVE_FINITE,
+    ("train", "cv-grid"): _POSITIVE_FINITE,
+}
+
+
+def test_numeric_options_take_special_values(tmp_path, capsys):
+    # a value an option refuses exits 1 with an error line; any other value
+    # runs and exits 0 or 2; nothing escapes main
+    data_path, model_path = _small_model(tmp_path)
+    runs = {
+        "gradcheck": ["--out", str(tmp_path / "gradcheck.tsv")],
+        "prop1-check": ["--anchors", "6", "--d", "3"],
+        "train": ["--model", str(model_path), "--data", str(data_path),
+                  "--out", str(tmp_path / "trained.bin"), "--max-iters", "2"],
+    }
+    for (command, option), refused in _SPECIAL_REFUSALS.items():
+        # --c skips cross-validation and so --cv-grid; eta and tol run
+        # with --c 1 to stay fast
+        fixed_c = (["--c", "1"] if command == "train"
+                   and option not in ("c", "cv-grid") else [])
+        for value in _SPECIAL_VALUES:
+            capsys.readouterr()
+            argv = [command, *runs[command], *fixed_c, f"--{option}={value}"]
+            try:
+                code = main(argv)
+            except Exception as err:  # noqa: BLE001 - report the escaping input
+                pytest.fail(f"{type(err).__name__} escaped for {argv}: {err}")
+            err = capsys.readouterr().err
+            if value in refused:
+                assert code == 1 and "error:" in err, (argv, code, err)
+            else:
+                assert code in (0, 2), (argv, code, err)
+
+
 def test_eval_malformed_model_header_is_exit_one(tmp_path, capsys):
     model_path = helpers.saved_with_header(
         tmp_path / "model.bin", helpers.setting("anchor_count", value="abc"))

@@ -166,6 +166,8 @@ def test_head_validation():
         ClassifierHead(np.ones((2, 3)), np.array([1.0]))
     with pytest.raises(ConfigError):
         ClassifierHead(np.full((1, 2), np.nan), np.array([1.0]))
+    with pytest.raises(ConfigError, match="positive and finite"):
+        ClassifierHead(np.ones((2, 3)), [np.inf, 1.0])
     head = ClassifierHead.random(2, 5, trade_off=2.0, seed=1)
     assert head.normals.shape == (2, 5)
     assert (head.trade_offs == 2.0).all()
@@ -207,6 +209,8 @@ def test_save_load_round_trip_bitwise(tmp_path):
     for mat in _model_matrices(loaded, loaded_head):
         assert mat.flags.aligned and mat.flags.c_contiguous
         assert mat.flags.writeable
+    # every matrix, the head's trade-offs too, is a view of the file buffer
+    assert not loaded_head.trade_offs.flags.owndata
 
     # a second save of the loaded model reproduces the file byte for byte
     path2 = tmp_path / "model2.bin"

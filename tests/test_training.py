@@ -242,6 +242,8 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ConfigError):
+        TrainConfig(learning_rate=np.inf)
+    with pytest.raises(ConfigError):
         TrainConfig(max_iters=0)
     with pytest.raises(ConfigError):
         TrainConfig(convergence_tol=-0.1)
@@ -260,6 +262,12 @@ def test_train_leaves_inputs_untouched():
     assert (head.normals == normals_before).all()
     assert len(history) == 4
     assert trained is not model and trained_head is not head
+    # the trained head's trade-offs are its own, not the config's or head's
+    c = np.full(data.num_classes, 2.0)
+    for c_policy, given in ((c, c), (None, head.trade_offs)):
+        cfg = TrainConfig(learning_rate=1e-7, max_iters=1, c_policy=c_policy)
+        _, trained_head, _ = train(model, head, data, cfg)
+        assert not np.shares_memory(trained_head.trade_offs, given)
 
 
 def test_train_is_deterministic():
@@ -358,10 +366,10 @@ def test_backtracking_never_reruns_an_accepted_iteration(monkeypatch):
         return forward_trace(*args, **kwargs)
 
     monkeypatch.setattr(training, "forward_trace", counted)
+    monkeypatch.setattr(training, "MAX_HALVINGS", 40)
     cfg = TrainConfig(learning_rate=10.0, max_iters=15, c_policy=4.0,
                       convergence_tol=0.0)
-    _, _, history, eta = train_with_guard(model, head, data, cfg,
-                                          max_halvings=40)
+    _, _, history, eta = train_with_guard(model, head, data, cfg)
     halvings = int(round(np.log2(cfg.learning_rate / eta)))
     assert halvings > 0
     # one evaluation per logged iteration plus one per rejected step
@@ -370,12 +378,15 @@ def test_backtracking_never_reruns_an_accepted_iteration(monkeypatch):
     assert all(b <= a for a, b in zip(objs, objs[1:]))
 
 
-def test_exhausted_halvings_carry_the_last_accepted_state():
+def test_exhausted_halvings_carry_the_last_accepted_state(monkeypatch):
+    import dmapnet.training as training
+
     model, head, data = helpers.toy_problem(seed=65)
+    monkeypatch.setattr(training, "MAX_HALVINGS", 1)
     cfg = TrainConfig(learning_rate=1e9, max_iters=10, c_policy=10.0,
                       convergence_tol=0.0)
     with pytest.raises(TrainingDivergedError) as info:
-        train_with_guard(model, head, data, cfg, max_halvings=1)
+        train_with_guard(model, head, data, cfg)
     err = info.value
     # the first iterate was accepted; every step from it was rejected
     assert [e.iteration for e in err.history] == [1]
@@ -467,5 +478,7 @@ def test_cross_validation_edge_cases():
         cross_validate_C(data, model, folds=2, grid=())
     with pytest.raises(ConfigError):
         cross_validate_C(data, model, folds=2, grid=(-1.0,))
+    with pytest.raises(ConfigError):
+        cross_validate_C(data, model, folds=2, grid=(1.0, np.inf))
     with pytest.raises(ConfigError):
         cross_validate_C(data, model, folds=10, grid=(1.0,))
