@@ -79,10 +79,12 @@ class EigenFactor:
 def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFactor:
     """Eigendecompose a symmetric gram, discarding the unusable spectrum.
 
-    Eigenvalues at or below ``clip_ratio`` times the largest one (negative
-    ones included) are dropped.  Raises DegenerateGramError when nothing
-    survives.
+    Eigenvalues at or below ``clip_ratio`` (finite, >= 0) times the largest
+    one (negative ones included) are dropped.  Raises DegenerateGramError
+    when nothing survives.
     """
+    if not 0 <= clip_ratio < np.inf:
+        raise ConfigError("clip_ratio must be finite and >= 0")
     values = np.asarray(getattr(gram, "values", gram), dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
         raise InputError("eigen_projection expects a non-empty square matrix")
@@ -91,8 +93,6 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
     asym = max_asymmetry(values)
     if asym > 1e-8:
         raise InputError(f"gram must be symmetric; max asymmetry {asym:.3e}")
-    if not clip_ratio >= 0:
-        raise ConfigError("clip_ratio must be >= 0")
     # eigh reads only the lower triangle
     lam, vec = np.linalg.eigh(values)
     lam_max = float(lam[-1])

@@ -30,7 +30,8 @@ from .errors import ConfigError, InputError, NumericError, drawing
 from .fileio import atomic_write_text
 from .kernels import KernelSpec
 from .metrics import evaluate
-from .model import ClassifierHead, load_model, save_model, score_batch
+from .model import (ClassifierHead, as_per_class_c, load_model, save_model,
+                    score_batch)
 from .training import (DEFAULT_CV_FOLDS, DEFAULT_CV_GRID, TrainConfig,
                        cross_validate_C, format_history, train_with_guard)
 
@@ -244,7 +245,7 @@ def _cmd_train(opts) -> int:
     model, head = load_model(opts["model"])
     data = load_dataset(opts["data"])
     if opts["c"] is not None:
-        c_policy = opts["c"]
+        c_policy = as_per_class_c(opts["c"], data.num_classes)
         _log(f"using fixed trade-off {opts['c']:g} for all classes")
     else:
         grid = _parse_float_list(opts["cv_grid"], "cv-grid")

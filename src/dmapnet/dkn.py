@@ -79,11 +79,10 @@ class LayerSpec:
             self.weights = np.asarray(self.weights, dtype=np.float64)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"mixing weights must be numbers: {err}") from err
-        if self.weights.ndim != 2 or self.weights.shape[0] != self.width:
-            raise ConfigError(
-                f"weights must have shape ({self.width}, prev_width), "
-                f"got {self.weights.shape}"
-            )
+        if (self.weights.ndim != 2 or self.weights.shape[0] != self.width
+                or not self.weights.shape[1]):
+            raise ConfigError(f"weights must have shape ({self.width}, prev_width "
+                              f">= 1), got {self.weights.shape}")
         if not np.isfinite(self.weights).all():
             raise ConfigError("mixing weights must be finite")
         if np.min(self.weights) < 0:

@@ -83,12 +83,14 @@ class KernelSpec:
             if not _is_whole(self.degree) or self.degree < 1:
                 raise ConfigError(
                     f"polynomial degree must be an integer >= 1, got {self.degree!r}")
-            if not (isinstance(self.offset, numbers.Real) and self.offset >= 0):
-                raise ConfigError(
-                    f"polynomial offset must be a number >= 0, got {self.offset!r}")
+            if not (isinstance(self.offset, numbers.Real)
+                    and 0 <= self.offset < np.inf):
+                raise ConfigError(f"polynomial offset must be a finite number "
+                                  f">= 0, got {self.offset!r}")
         if self.kind == RBF and not (isinstance(self.gamma, numbers.Real)
-                                     and self.gamma > 0):
-            raise ConfigError(f"rbf gamma must be a number > 0, got {self.gamma!r}")
+                                     and 0 < self.gamma < np.inf):
+            raise ConfigError(f"rbf gamma must be a finite number > 0, "
+                              f"got {self.gamma!r}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}

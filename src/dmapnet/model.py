@@ -15,8 +15,8 @@ Inference therefore never touches any training set, only the fixed anchor
 matrices.  One walk maps samples up from layer 1, whose activations are
 the kernel rows: ``forward_batch`` keeps only its maps, and training keeps
 the activations too, for backprop.  The ``ClipReport`` each unit stores
-is defined here beside it; a model file's reports must agree with their
-units.
+is defined here beside it; building, saving and loading check a model by
+one rule, so a model that saves is a model that loads.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class DmnModel:
         if self.anchor_samples.ndim != 2:
             raise ConfigError("anchor samples must be 2-D")
         self.anchor_ids = anchor_id_tuple(self.anchor_ids, self.anchor_count)
-        _check_shapes(self)
+        _check_model(self)
 
     @property
     def anchor_count(self) -> int:
@@ -132,12 +132,16 @@ class DmnModel:
         return self.layers[-1][0].width
 
 
-def _check_shapes(model: DmnModel) -> None:
-    """Raise ConfigError unless the unit layers fit the architecture's
-    widths over the model's anchor samples: one row per anchor sample
-    everywhere, anchor maps as wide as their unit's projection below the
-    last layer and no anchor columns in it."""
+def _check_model(model: DmnModel) -> None:
+    """The one rule for a valid model, applied on construction and by
+    ``save_model`` and ``load_model``.  Raises ConfigError, naming the layer
+    and unit, unless the anchor samples are finite and each unit fits the
+    architecture over them: one row per anchor sample, anchor maps as wide
+    as the projection below the last layer and none in it, and a clip report
+    that keeps the unit's width of its gram's eigenvalues and drops the rest."""
     widths, n = model.arch.widths, model.anchor_count
+    if not np.isfinite(model.anchor_samples).all():
+        raise ConfigError("anchor samples must be finite")
     if len(model.layers) != len(widths):
         raise ConfigError("unit layers must match the architecture depth")
     for l, units in enumerate(model.layers):
@@ -157,6 +161,11 @@ def _check_shapes(model: DmnModel) -> None:
                     f"layer {l + 1}, unit {p + 1}: anchors have "
                     f"{unit.anchors.shape[1]} columns, expected {expected}"
                 )
+            kept, drop = unit.clip_report.retained, unit.clip_report.discarded
+            if kept != unit.width or kept + drop != n:
+                raise ConfigError(f"layer {l + 1}, unit {p + 1}: clip report keeps "
+                                  f"{kept} of {n} eigenvalues, drops {drop}; "
+                                  f"width {unit.width}")
 
 
 def as_per_class_c(c_policy, num_classes: int) -> np.ndarray:
@@ -327,10 +336,13 @@ def save_model(model: DmnModel, head: ClassifierHead | None, path) -> None:
 
     Layout: magic, u32 version, u32 header length, UTF-8 JSON header, then
     every matrix as little-endian float64 in row-major order, and a trailing
-    SHA-256 over all preceding bytes.  Raises ConfigError, naming the layer
-    and unit, when the unit shapes no longer fit the architecture.
+    SHA-256 over all preceding bytes.  Raises ConfigError, and writes
+    nothing, when the model breaks the rule every model is built and loaded
+    by (``_check_model``) or the head is not as wide as the final map.
     """
-    _check_shapes(model)
+    _check_model(model)
+    if head is not None:
+        check_head_width(model, head)
     header = {
         "format": "dmn-model",
         "anchor_count": int(model.anchor_count),
@@ -491,11 +503,4 @@ def load_model(path) -> tuple:
 
     if reader.offset != len(reader.buf):
         raise FormatError("model file has trailing bytes after the payload")
-    # a unit keeps width of its gram's n eigenvalues and drops the rest
-    for l, units in enumerate(model.layers, start=1):
-        for p, unit in enumerate(units, start=1):
-            kept, drop = unit.clip_report.retained, unit.clip_report.discarded
-            if kept != unit.width or kept + drop != n:
-                raise FormatError(f"layer {l}, unit {p}: clip report keeps {kept} of "
-                                  f"{n} eigenvalues, drops {drop}; width {unit.width}")
     return model, head

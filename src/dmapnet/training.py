@@ -110,17 +110,14 @@ def _check_features_labels(F, Y):
     return F, Y
 
 
-def _class_objective(F, y, c, w) -> float:
+def _class_terms(F, y, c, w) -> tuple:
+    """One class's squared-hinge objective at ``w``, its gradient and the
+    active set, all from one evaluation of the margins."""
     margins = 1.0 - y * (F @ w)
     active = margins > 0
-    return float(0.5 * (w @ w) + c * np.sum(margins[active] ** 2))
-
-
-def _class_gradient(F, y, c, w):
-    margins = 1.0 - y * (F @ w)
-    active = margins > 0
+    value = float(0.5 * (w @ w) + c * np.sum(margins[active] ** 2))
     grad = w - 2.0 * c * (F[active].T @ (y[active] * margins[active]))
-    return grad, active
+    return value, grad, active
 
 
 def _solve_class(F, y, c, w0):
@@ -137,8 +134,7 @@ def _solve_class(F, y, c, w0):
     w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
     grad0 = -2.0 * c * ((F * y[:, None]).sum(axis=0))
     tol = NEWTON_TOL_SCALE * max(1.0, float(np.max(np.abs(grad0))) if d else 1.0)
-    grad, active = _class_gradient(F, y, c, w)
-    value = _class_objective(F, y, c, w)
+    value, grad, active = _class_terms(F, y, c, w)
     for _ in range(MAX_NEWTON_STEPS):
         if np.max(np.abs(grad)) <= tol:
             return w
@@ -151,18 +147,15 @@ def _solve_class(F, y, c, w0):
         step = np.linalg.solve(hess, -grad)
         slope = float(grad @ step)
         t = 1.0
-        moved = False
         for _ in range(60):
             w_try = w + t * step
-            v_try = _class_objective(F, y, c, w_try)
-            if v_try <= value + 1e-4 * t * slope:
-                w, value = w_try, v_try
-                grad, active = _class_gradient(F, y, c, w)
-                moved = True
+            trial = _class_terms(F, y, c, w_try)
+            if trial[0] <= value + 1e-4 * t * slope:
+                w, (value, grad, active) = w_try, trial
                 break
             t *= 0.5
-        if not moved:
-            break
+        else:
+            break  # the line search stalled
     if np.max(np.abs(grad)) <= tol:
         return w
     raise NumericRangeError("squared-hinge solve failed to reach tolerance")

@@ -16,8 +16,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "samples_per_s", "better": "higher"},
-           {"name": "op_p50_ms", "better": "lower"}]
+METRICS = [{"name": "samples_per_s", "better": "higher", "bound": 0.25},
+           {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]
 
 
 def _pairs(base, change, name):
@@ -79,6 +79,26 @@ def test_pair_ratios_see_a_gain_through_drift():
     assert up["wins"] == 10
     assert not up["gap_exceeds_base_iqr"]
     assert up["ratio_quartiles"] == pytest.approx([1.1, 1.1, 1.1])
+
+
+def test_verdict_reads_the_change_against_the_bound():
+    # a 25% bound on a lower-is-better time, over a base spread 4% wide
+    base = [100, 98, 102, 101, 99, 100, 103, 97, 100, 101]
+
+    def read(change, base=base):
+        summary = bench_pairs.summarize(_pairs(base, change, "op_p50_ms"),
+                                        METRICS[1:])
+        return summary["op_p50_ms"]["verdict"]
+
+    assert read([1.3 * b for b in base]) == "worse"
+    assert read([1.2 * b for b in base]) == "held"
+    assert read([0.5 * b for b in base]) == "held"
+    # a base spread wider than the bound cannot tell 20% worse from equal
+    wide = [60, 140, 80, 120, 100, 70, 130, 90, 110, 100]
+    assert read([1.2 * b for b in wide], base=wide) == "unresolved"
+    assert read(wide, base=wide) == "unresolved"
+    # unless every change run beats every base run
+    assert read([50] * 10, base=wide) == "held"
 
 
 @pytest.mark.skipif(not (_PATH.parent.parent / ".git").exists(),

@@ -128,14 +128,17 @@ def test_train_overflowing_eta_is_halved(tmp_path, capsys):
 
 def test_train_refuses_an_infinite_trade_off_before_cross_validating(
         tmp_path, capsys):
+    # nor does it announce a fixed trade-off it then refuses
     data_path, model_path = _small_model(tmp_path)
-    capsys.readouterr()
-    assert main(["train", "--model", str(model_path), "--data", str(data_path),
-                 "--out", str(tmp_path / "trained.bin"), "--max-iters", "2",
-                 "--cv-grid", "1,inf"]) == 1
-    err = capsys.readouterr().err
-    assert "error: trade-offs must be positive and finite" in err
-    assert "cross-validated" not in err
+    for option in (["--cv-grid", "1,inf"], ["--c", "inf"]):
+        capsys.readouterr()
+        assert main(["train", "--model", str(model_path), "--data", str(data_path),
+                     "--out", str(tmp_path / "trained.bin"), "--max-iters", "2",
+                     *option]) == 1
+        err = capsys.readouterr().err
+        assert "error: trade-offs must be positive and finite" in err
+        assert "cross-validated" not in err
+        assert "using fixed trade-off" not in err
 
 
 _SPECIAL_VALUES = ("nan", "inf", "-inf", "0", "-1")
@@ -151,6 +154,11 @@ _SPECIAL_REFUSALS = {
     ("train", "tol"): {"nan", "-inf", "-1"},  # >= 0
     ("train", "c"): _POSITIVE_FINITE,
     ("train", "cv-grid"): _POSITIVE_FINITE,
+    ("build-dmn", "clip-ratio"): {"nan", "inf", "-inf", "-1"},  # finite and >= 0
+    ("build-dmn", "gamma"): _POSITIVE_FINITE,
+    ("build-dmn", "offset"): {"nan", "inf", "-inf", "-1"},  # finite and >= 0
+    ("prop1-check", "clip-ratio"): {"nan", "inf", "-inf", "-1"},
+    ("bench", "clip-ratio"): {"nan", "inf", "-inf", "-1"},
 }
 
 
@@ -163,6 +171,10 @@ def test_numeric_options_take_special_values(tmp_path, capsys):
         "prop1-check": ["--anchors", "6", "--d", "3"],
         "train": ["--model", str(model_path), "--data", str(data_path),
                   "--out", str(tmp_path / "trained.bin"), "--max-iters", "2"],
+        "build-dmn": ["--data", str(data_path), "--out", str(tmp_path / "built.bin"),
+                      "--anchors", "14"],
+        "bench": ["--out", str(tmp_path / "bench"), "--anchors", "6", "--d", "3",
+                  "--sizes", "5", "--reps", "5"],
     }
     for (command, option), refused in _SPECIAL_REFUSALS.items():
         # --c skips cross-validation and so --cv-grid; eta and tol run
@@ -287,6 +299,13 @@ def test_build_rejects_malformed_text_inputs(tmp_path, capsys):
                  str(tmp_path / "m.bin"), "--anchors", "8",
                  "--arch", str(arch_path)]) == 1
     assert "degree" in capsys.readouterr().err
+    arch_path.write_text(json.dumps({
+        "input_kernels": [{"kind": "linear"}],
+        "layers": [{"width": 1, "activation": "exp", "weights": [[]]}]}))
+    assert main(["build-dmn", "--data", str(data_path), "--out",
+                 str(tmp_path / "m.bin"), "--anchors", "8",
+                 "--arch", str(arch_path)]) == 1
+    assert "error: weights must have shape" in capsys.readouterr().err
     data_path.write_bytes(b"\xff" + data_path.read_bytes())
     assert main(["build-dmn", "--data", str(data_path), "--out",
                  str(tmp_path / "m.bin"), "--anchors", "8"]) == 1

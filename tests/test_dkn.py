@@ -58,6 +58,8 @@ def test_layer_spec_validation():
         LayerSpec(width=0, activation="tanh", weights=np.ones((0, 2)))
     with pytest.raises(ConfigError):
         LayerSpec(width=2, activation="tanh", weights=np.ones((3, 2)))
+    with pytest.raises(ConfigError, match="prev_width >= 1"):
+        LayerSpec(width=1, activation="tanh", weights=[[]])
     with pytest.raises(ConfigError):
         LayerSpec(width=1, activation="tanh", weights=np.array([[0.5, -0.1]]))
     with pytest.raises(ConfigError):

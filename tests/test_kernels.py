@@ -44,6 +44,10 @@ def test_spec_validation():
         KernelSpec("polynomial", offset=-1.0)
     with pytest.raises(ConfigError):
         KernelSpec("rbf", gamma=0.0)
+    with pytest.raises(ConfigError, match="offset must be a finite number"):
+        KernelSpec("polynomial", offset=float("inf"))
+    with pytest.raises(ConfigError, match="gamma must be a finite number"):
+        KernelSpec("rbf", gamma=float("inf"))
     # non-numeric fields, as a JSON config may carry them
     with pytest.raises(ConfigError, match="degree"):
         KernelSpec("polynomial", degree="two")

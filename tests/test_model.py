@@ -15,7 +15,8 @@ from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
                      LayerSpec, NumericError, NumericRangeError, VersionError,
                      build_dmn, classify, default_architecture,
                      default_input_kernels, forward_batch, load_model,
-                     random_mixing_weights, save_model, score_batch)
+                     random_mixing_weights, save_dataset, save_model,
+                     score_batch)
 from dmapnet.cli import main
 from dmapnet.model import (MODEL_MAGIC, MODEL_VERSION, _model_matrices,
                            input_kernel_rows, walk)
@@ -303,7 +304,14 @@ def _huge_head_on_a_zero_width_map(header):
     # counts that pass every check but describe an empty matrix with a
     # dimension numpy cannot hold
     header["units"][-1][0]["width"] = 0
+    header["units"][-1][0]["clip_report"].update(retained=0, discarded=6)
     header["head"]["classes"] = 2**70
+
+
+def _no_input_units(header):
+    # the layer counts still agree, but layer 2's weights have no columns
+    header["arch"]["input_kernels"] = []
+    header["units"][0] = []
 
 
 def _one_more_discarded(header):
@@ -328,11 +336,12 @@ def _one_more_discarded(header):
     (helpers.setting("units", 1, 0, "clip_report", "retained", value=999),
      "layer 2, unit 1: clip report keeps 999"),
     (_one_more_discarded, "layer 1, unit 1: clip report"),
+    (_no_input_units, "inconsistent model file: weights must have shape"),
 ], ids=["anchor-count", "layer-width", "units", "negative-shape",
         "non-integer-width", "head-classes", "input-unit-without-kernel",
         "width-past-the-payload", "huge-empty-head", "duplicate-anchor-ids",
         "unhashable-anchor-ids", "null-clip-report", "clip-report-unlike-width",
-        "clip-report-unlike-anchor-count"])
+        "clip-report-unlike-anchor-count", "no-input-units"])
 def test_load_rejects_malformed_header_fields(tmp_path, edit, message):
     path = helpers.saved_with_header(tmp_path / "model.bin", edit, seed=23)
     with pytest.raises(FormatError, match=message):
@@ -378,6 +387,16 @@ def _rows_unlike_anchor_count(model):
     unit.anchors, unit.projection = unit.anchors[:-1], unit.projection[:-1]
 
 
+def _clip_report_keeps_one_more(model):
+    unit = model.layers[1][0]
+    unit.clip_report = dataclasses.replace(
+        unit.clip_report, retained=unit.clip_report.retained + 1)
+
+
+def _nan_anchor_sample(model):
+    model.anchor_samples[2, 1] = np.nan
+
+
 def test_model_anchor_ids_follow_the_file_rule(tmp_path):
     # the ids a model holds are the ids its file can record, so a model
     # that saves is a model that loads
@@ -400,20 +419,55 @@ def test_model_anchor_ids_follow_the_file_rule(tmp_path):
     (helpers.replacing(0, 1, "anchors", _with_zero_column), "layer 1, unit 2"),
     (_rows_unlike_anchor_count, "layer 2, unit 1"),
     (helpers.replacing(2, 0, "anchors", _with_zero_column), "layer 3, unit 1"),
+    (_clip_report_keeps_one_more,
+     "layer 2, unit 1: clip report keeps 5 of 6 eigenvalues, drops 2; width 4"),
+    (_nan_anchor_sample, "anchor samples must be finite"),
 ], ids=["upper-anchors-lost-a-column", "upper-anchors-extra-column",
         "lower-width-changed", "input-anchors-wrong-width",
-        "rows-unlike-anchor-count", "final-anchors-not-empty"])
+        "rows-unlike-anchor-count", "final-anchors-not-empty",
+        "clip-report-unlike-width", "nan-anchor-sample"])
 def test_cross_layer_shapes_are_checked(tmp_path, edit, where):
     model, _, _ = helpers.toy_problem(seed=30)
     edit(model)
     with pytest.raises(ConfigError, match=where):
         DmnModel(layers=model.layers, arch=model.arch,
                  anchor_samples=model.anchor_samples)
-    # a file holds only unit widths, so such a model cannot be written down
+    # saving applies the rule loading does, so such a model is not written
     path = tmp_path / "model.bin"
     with pytest.raises(ConfigError, match=where):
         helpers.saved_with_model_edit(path, edit, seed=30)
     assert not path.exists()
+
+
+def test_save_refuses_a_head_unlike_the_final_map(tmp_path):
+    # the reader takes the normals as wide as the final map, so a wider head
+    # would leave every later payload byte misread
+    model, head, _ = helpers.toy_problem(seed=33)
+    wide = ClassifierHead(_with_zero_column(head.normals), head.trade_offs)
+    path = tmp_path / "model.bin"
+    with pytest.raises(ConfigError, match="head width 7 does not match the "
+                                          "final map width 6"):
+        save_model(model, wide, path)
+    assert not path.exists()
+
+
+def test_load_refuses_a_non_finite_anchor_sample(tmp_path, capsys):
+    model, head, data = helpers.toy_problem(seed=34)
+    path = tmp_path / "model.bin"
+    save_model(model, head, path)
+    raw = bytearray(path.read_bytes()[:-32])
+    at = len(MODEL_MAGIC) + 4
+    payload = at + 4 + int.from_bytes(raw[at:at + 4], "little")
+    raw[payload:payload + 8] = np.float64(np.nan).tobytes()  # anchor sample (1, 1)
+    path.write_bytes(bytes(raw) + hashlib.sha256(raw).digest())
+    with pytest.raises(FormatError, match="inconsistent model file: anchor "
+                                          "samples must be finite"):
+        load_model(path)
+    data_path = tmp_path / "data.tsv"
+    save_dataset(data, data_path)
+    assert main(["eval", "--model", str(path), "--data", str(data_path),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    assert "error: inconsistent model file: anchor samples" in capsys.readouterr().err
 
 
 def test_load_rejects_trailing_bytes(tmp_path):

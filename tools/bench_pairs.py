@@ -13,8 +13,10 @@ result goes to ``BENCH_<workload>.json`` (or ``--out``): every run's
 end-to-end metrics with its ``attempted`` and ``failed`` counts and its
 ``# provenance`` line, and for each metric both sides' quartiles, the pairs
 the working tree won (ties count for neither side), whether the gap
-between the medians exceeds the base's interquartile range, and the
-quartiles of the per-pair ``change / base`` ratios.  The two runs of a pair
+between the medians exceeds the base's interquartile range, the
+quartiles of the per-pair ``change / base`` ratios, and a verdict against
+the metric's no-regression bound: ``held``, ``worse`` or ``unresolved``
+(see ``_verdict``).  The two runs of a pair
 share the machine's state at that moment, so the ratios show a change even
 when the machine drifts across the series more than the change moves it.
 SIGTERM stops a run like Ctrl-C: the running benchmark is killed and both
@@ -62,15 +64,32 @@ def quartiles(values) -> list:
     return out
 
 
+def _verdict(base, change, better: str, bound: float) -> str:
+    """Whether the change kept a metric within its no-regression ``bound``,
+    a fraction of the base's median.
+
+    ``unresolved`` when the base's interquartile range exceeds the bound,
+    since a spread that wide hides a regression of that size, unless every
+    change run beats every base run; else ``worse`` when the change's median
+    is worse than the base's by more than the bound; else ``held``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    (b1, bmed, b3), cmed = quartiles(base), quartiles(change)[1]
+    dominates = min(sign * c for c in change) > max(sign * b for b in base)
+    if b3 - b1 > bound * abs(bmed) and not dominates:
+        return "unresolved"
+    return "worse" if sign * (bmed - cmed) > bound * abs(bmed) else "held"
+
+
 def summarize(pairs, metrics) -> dict:
     """Per metric: both sides' quartiles, the change's wins, whether the
-    median gap in the metric's better direction exceeds the base's IQR, and
-    the quartiles of the per-pair ``change / base`` ratios (None when a base
-    value is 0).
+    median gap in the metric's better direction exceeds the base's IQR, the
+    quartiles of the per-pair ``change / base`` ratios (None when a base
+    value is 0), and the ``verdict`` against the metric's bound.
 
     ``pairs`` holds one ``{"base": {...}, "change": {...}}`` per seed, each
     side mapping metric names to values; ``metrics`` holds ``BENCHMARK.json``
-    entries with ``name`` and ``better``.
+    entries with ``name``, ``better`` and ``bound``.
     """
     summary = {}
     for metric in metrics:
@@ -91,6 +110,7 @@ def summarize(pairs, metrics) -> dict:
             "gap_exceeds_base_iqr": gain > bq[2] - bq[0],
             "ratio_quartiles": (quartiles([c / b for b, c in zip(base, change)])
                                 if all(base) else None),
+            "verdict": _verdict(base, change, metric["better"], metric["bound"]),
         }
     return summary
 
@@ -195,7 +215,7 @@ def main(argv=None) -> int:
         print(f"{name}: base {s['base_quartiles'][1]:.6g} change "
               f"{s['change_quartiles'][1]:.6g} wins {s['wins']}/{s['pairs']} "
               f"gap>IQR {s['gap_exceeds_base_iqr']} median ratio "
-              f"{ratio[1] if ratio else float('nan'):.4g}")
+              f"{ratio[1] if ratio else float('nan'):.4g} verdict {s['verdict']}")
     return 0
 
 
