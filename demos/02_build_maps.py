@@ -15,8 +15,7 @@ rng = np.random.default_rng(1)
 # anchors drawn at a small scale keep every layer's gram well conditioned
 anchors = AnchorSet(samples=rng.uniform(0.0, 0.05, size=(30, 6)))
 arch = default_architecture(default_input_kernels(), seed=1)
-widths = [len(arch.input_kernels)] + [layer.width for layer in arch.layers]
-print(f"architecture: {len(widths)} layers with widths {widths}")
+print(f"architecture: {arch.num_layers} layers with widths {arch.widths}")
 
 print("\nbuild log (eigenvalue clipping per unit):")
 model = build_dmn(arch, anchors, clip_ratio=1e-10,

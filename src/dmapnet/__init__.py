@@ -17,9 +17,9 @@ from .data import (LabeledDataset, SyntheticSpec, generate_synthetic,
 from .dkn import (DknArchitecture, LayerSpec, default_architecture,
                   default_input_kernels, dkn_classify, dkn_pair, gram_layers,
                   load_architecture, random_mixing_weights)
-from .errors import (BuildError, ConfigError, DegenerateGramError, DmapnetError,
-                     FormatError, GenerationError, InputError, NumericError,
-                     NumericRangeError, TrainingDivergedError, VersionError)
+from .errors import (ConfigError, DegenerateGramError, DmapnetError, FormatError,
+                     GenerationError, InputError, NumericError, NumericRangeError,
+                     TrainingDivergedError, VersionError)
 from .kernels import GramMatrix, KernelSpec, eval_kernel, gram_matrix
 from .metrics import EvalReport, evaluate, f_measure
 from .model import (ClassifierHead, DmnModel, DmnUnit, classify, forward_batch,
@@ -31,10 +31,10 @@ from .training import (TrainConfig, TrainLogEntry, backprop, cross_validate_C,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet", "BenchReport", "BenchRow", "BuildError", "ClassifierHead",
-    "ClipReport", "ConfigError", "DegenerateGramError", "DknArchitecture",
-    "DmapnetError", "DmnModel", "DmnUnit", "EigenFactor", "EvalReport",
-    "FormatError", "GenerationError", "GramMatrix", "InputError", "KernelSpec",
+    "AnchorSet", "BenchReport", "BenchRow", "ClassifierHead", "ClipReport",
+    "ConfigError", "DegenerateGramError", "DknArchitecture", "DmapnetError",
+    "DmnModel", "DmnUnit", "EigenFactor", "EvalReport", "FormatError",
+    "GenerationError", "GramMatrix", "InputError", "KernelSpec",
     "LabeledDataset", "LayerSpec", "NumericError", "NumericRangeError",
     "SyntheticSpec", "TrainConfig", "TrainLogEntry", "TrainingDivergedError",
     "VersionError", "backprop", "build_dmn", "classify", "cross_validate_C",

@@ -19,6 +19,7 @@ import numpy as np
 from .builder import AnchorSet, DEFAULT_CLIP_RATIO, build_dmn
 from .dkn import DknArchitecture, dkn_classify
 from .errors import ConfigError, drawing
+from .kernels import _is_whole
 from .model import ClassifierHead, classify
 
 
@@ -100,12 +101,15 @@ def run_bench(arch: DknArchitecture, anchors: AnchorSet, sizes=(500, 1000, 2000,
     box, so any kernel accepting the anchors accepts them too.  Each (size,
     framework) pair gets one warm-up call that is not measured.
     """
+    sizes = list(sizes)
+    if not sizes or not all(_is_whole(s) and s >= 1 for s in sizes):
+        raise ConfigError("support sizes must be integers >= 1")
     sizes = [int(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ConfigError("support sizes must be positive")
-    if int(reps) != reps or reps < 5:
+    if not _is_whole(reps) or reps < 5:
         raise ConfigError("at least 5 repetitions are required")
-    reps = int(reps)
+    if not _is_whole(num_classes) or num_classes < 1:
+        raise ConfigError("at least one class is required")
+    reps, num_classes = int(reps), int(num_classes)
     rng = np.random.default_rng(seed)
     d = anchors.samples.shape[1]
     low = anchors.samples.min(axis=0)

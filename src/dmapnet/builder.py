@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dkn import DknArchitecture, EXP, activate, combine, gram_layers
-from .errors import (BuildError, ConfigError, DegenerateGramError, InputError,
+from .errors import (ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
 from .kernels import gram_matrix, max_asymmetry
 from .model import (ClipReport, DmnModel, DmnUnit, anchor_id_tuple,
@@ -126,7 +126,7 @@ def _unit(gram, clip_ratio: float, layer: int, unit: int, last: bool) -> DmnUnit
     try:
         factor = eigen_projection(gram, clip_ratio)
     except DegenerateGramError as err:
-        raise BuildError(f"layer {layer}, unit {unit}: {err}") from err
+        raise DegenerateGramError(f"layer {layer}, unit {unit}: {err}") from err
     maps = np.zeros((gram.shape[0], 0)) if last else factor.anchor_map()
     return DmnUnit(anchors=maps, projection=factor.projection(),
                    clip_report=factor.clip_report)

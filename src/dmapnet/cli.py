@@ -53,6 +53,7 @@ def _log(message: str) -> None:
 _REQUIRED = object()
 _CLIP_RATIO = (float, DEFAULT_CLIP_RATIO, "relative eigenvalue clip threshold")
 _TRAIN = TrainConfig()
+_KERNEL = {spec.kind: spec for spec in default_input_kernels()}
 
 _TABLES = {
     "gen-data": {
@@ -71,9 +72,12 @@ _TABLES = {
         "arch": (str, None, "architecture JSON (default: built-in 3-layer)"),
         "hidden-width": (int, None, "hidden width (default: twice the inputs)"),
         "clip-ratio": _CLIP_RATIO,
-        "gamma": (float, 1.0, "rbf bandwidth of the default kernels"),
-        "degree": (int, 2, "polynomial degree of the default kernels"),
-        "offset": (float, 1.0, "polynomial offset of the default kernels"),
+        "gamma": (float, _KERNEL["rbf"].gamma,
+                  "rbf bandwidth of the default kernels"),
+        "degree": (int, _KERNEL["polynomial"].degree,
+                   "polynomial degree of the default kernels"),
+        "offset": (float, _KERNEL["polynomial"].offset,
+                   "polynomial offset of the default kernels"),
         "seed": (int, 0, "seed for randomized mixing weights"),
     },
     "train": {
@@ -242,23 +246,23 @@ def _cmd_build_dmn(opts) -> int:
 
 
 def _cmd_train(opts) -> int:
+    # the configuration is checked before anything is loaded or cross-validated
+    cfg = TrainConfig(learning_rate=opts["eta"], max_iters=opts["max_iters"],
+                      convergence_tol=opts["tol"], seed=opts["seed"])
     model, head = load_model(opts["model"])
     data = load_dataset(opts["data"])
     if opts["c"] is not None:
-        c_policy = as_per_class_c(opts["c"], data.num_classes)
+        cfg.c_policy = as_per_class_c(opts["c"], data.num_classes)
         _log(f"using fixed trade-off {opts['c']:g} for all classes")
     else:
         grid = _parse_float_list(opts["cv_grid"], "cv-grid")
-        c_policy = cross_validate_C(data, model, folds=opts["cv_folds"],
-                                    grid=grid)
+        cfg.c_policy = cross_validate_C(data, model, folds=opts["cv_folds"],
+                                        grid=grid)
         _log("cross-validated trade-offs: "
-             + ", ".join(f"{c:g}" for c in c_policy))
+             + ", ".join(f"{c:g}" for c in cfg.c_policy))
     if head is None:
         head = ClassifierHead.random(data.num_classes, model.final_width,
-                                     trade_off=c_policy, seed=opts["seed"])
-    cfg = TrainConfig(learning_rate=opts["eta"], max_iters=opts["max_iters"],
-                      c_policy=c_policy, convergence_tol=opts["tol"],
-                      seed=opts["seed"])
+                                     trade_off=cfg.c_policy, seed=opts["seed"])
     trained, trained_head, history, eta = train_with_guard(model, head, data,
                                                            cfg)
     _log(f"accepted learning rate {eta:g}")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import FormatError, GenerationError, InputError
 from .fileio import atomic_write_text
+from .kernels import _is_whole
 
 
 @dataclass
@@ -79,14 +80,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_samples < 2:
-            raise InputError("at least two samples are required")
-        if self.num_features < 1:
-            raise InputError("at least one feature is required")
-        if self.num_classes < 1:
-            raise InputError("at least one class is required")
-        if self.clusters < 1:
-            raise InputError("at least one cluster per class is required")
+        for name, least in (("num_samples", 2), ("num_features", 1),
+                            ("num_classes", 1), ("clusters", 1)):
+            value = getattr(self, name)
+            if not _is_whole(value) or value < least:
+                raise InputError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 <= self.noise < 0.5:
             raise InputError("label noise rate must lie in [0, 0.5)")
 

@@ -162,21 +162,8 @@ class DknArchitecture:
         if not isinstance(kernel_objs, list) or not isinstance(layer_objs, list):
             raise ConfigError("'input_kernels' and 'layers' must be lists")
         kernels = [KernelSpec.from_dict(k) for k in kernel_objs]
-        rng = np.random.default_rng(seed)
-        layers = []
-        prev = len(kernels)
-        for raw in layer_objs:
-            if not isinstance(raw, dict) or "width" not in raw or "activation" not in raw:
-                raise ConfigError("each layer needs 'width' and 'activation'")
-            width = _layer_width(raw["width"])
-            if "weights" in raw and raw["weights"] is not None:
-                weights = raw["weights"]
-            else:
-                weights = _drawn_weights(width, prev, rng, len(layers) + 2)
-            layers.append(LayerSpec(width=width, activation=raw["activation"],
-                                    weights=weights))
-            prev = width
-        return cls(input_kernels=kernels, layers=layers)
+        return cls(input_kernels=kernels,
+                   layers=_mixing_layers(layer_objs, len(kernels), seed))
 
 
 def random_mixing_weights(width: int, prev_width: int, rng) -> np.ndarray:
@@ -185,25 +172,33 @@ def random_mixing_weights(width: int, prev_width: int, rng) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _drawn_weights(width: int, prev_width: int, rng, layer: int) -> np.ndarray:
-    """``random_mixing_weights``; a draw too large is a ConfigError."""
-    with drawing(f"layer {layer}'s {width} x {prev_width} mixing weights"):
-        return random_mixing_weights(width, prev_width, rng)
+def _mixing_layers(layer_objs, prev: int, seed: int) -> list:
+    """LayerSpecs over ``prev`` input kernels from parsed layer objects; each
+    missing weight matrix is drawn from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for number, raw in enumerate(layer_objs, start=2):
+        if not isinstance(raw, dict) or "width" not in raw or "activation" not in raw:
+            raise ConfigError("each layer needs 'width' and 'activation'")
+        width = _layer_width(raw["width"])
+        weights = raw.get("weights")
+        if weights is None:
+            with drawing(f"layer {number}'s {width} x {prev} mixing weights"):
+                weights = random_mixing_weights(width, prev, rng)
+        layers.append(LayerSpec(width=width, activation=raw["activation"],
+                                weights=weights))
+        prev = width
+    return layers
 
 
 def default_architecture(input_kernels, hidden_width: int | None = None,
                          seed: int = 0) -> DknArchitecture:
     """Three-layer network: inputs, a tanh layer twice as wide, one exp unit."""
     n1 = len(input_kernels)
-    hidden_width = _layer_width(2 * n1 if hidden_width is None else hidden_width)
-    rng = np.random.default_rng(seed)
-    layers = [
-        LayerSpec(width=hidden_width, activation=TANH,
-                  weights=_drawn_weights(hidden_width, n1, rng, 2)),
-        LayerSpec(width=1, activation=EXP,
-                  weights=_drawn_weights(1, hidden_width, rng, 3)),
-    ]
-    return DknArchitecture(input_kernels=input_kernels, layers=layers)
+    hidden = {"width": 2 * n1 if hidden_width is None else hidden_width,
+              "activation": TANH}
+    return DknArchitecture(input_kernels=input_kernels, layers=_mixing_layers(
+        [hidden, {"width": 1, "activation": EXP}], n1, seed))
 
 
 def default_input_kernels(gamma: float = 1.0, degree: int = 2,

@@ -39,15 +39,12 @@ class NumericError(DmapnetError, ArithmeticError):
 
 
 class DegenerateGramError(NumericError):
-    """Every eigenvalue of a gram matrix fell below the clip threshold."""
+    """Every eigenvalue of a gram matrix fell below the clip threshold;
+    ``build_dmn``'s message names the layer and unit."""
 
 
 class NumericRangeError(NumericError):
     """An intermediate value left the representable range."""
-
-
-class BuildError(NumericError):
-    """Map construction failed; the message names the layer and unit."""
 
 
 class TrainingDivergedError(NumericError):

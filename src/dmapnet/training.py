@@ -26,6 +26,7 @@ import numpy as np
 from .data import LabeledDataset
 from .dkn import activation_prime, combine
 from .errors import ConfigError, InputError, NumericRangeError, TrainingDivergedError
+from .kernels import _is_whole
 from .metrics import f_measure
 from .model import (ClassifierHead, DmnModel, as_per_class_c, check_head_width,
                     forward_batch, input_kernel_rows, walk)
@@ -59,7 +60,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be finite and >= 0")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 1:
+        if not _is_whole(self.max_iters) or self.max_iters < 1:
             raise ConfigError("max_iters must be an integer >= 1")
         self.max_iters = int(self.max_iters)
         if not self.convergence_tol >= 0:
@@ -206,19 +207,19 @@ def forward_trace(model: DmnModel, kernel_rows) -> BatchTrace:
 
 
 def _objective_terms(omega, F, Y, C):
-    scores = F @ omega.T
-    margins = np.maximum(0.0, 1.0 - Y * scores)
+    """The objective, its hinge and regularizer terms and the hinge's gradient
+    with respect to the final maps, all from one evaluation of the margins."""
+    margins = np.maximum(0.0, 1.0 - Y * (F @ omega.T))
     hinge = float(np.sum(C[None, :] * margins ** 2))
     reg = float(0.5 * np.sum(omega * omega))
-    return reg + hinge, hinge, reg
+    return reg + hinge, hinge, reg, -2.0 * ((C[None, :] * Y * margins) @ omega)
 
 
 def objective(model: DmnModel, head: ClassifierHead, data: LabeledDataset) -> float:
     """Squared-hinge objective of the head over the model's final maps."""
     final, _ = forward_batch(model, data.features)
     C = as_per_class_c(head.trade_offs, data.num_classes)
-    total, _, _ = _objective_terms(head.normals, final, data.labels, C)
-    return total
+    return _objective_terms(head.normals, final, data.labels, C)[0]
 
 
 def grad_output(head: ClassifierHead, final_maps, labels) -> np.ndarray:
@@ -227,8 +228,7 @@ def grad_output(head: ClassifierHead, final_maps, labels) -> np.ndarray:
     if head.normals.shape[1] != F.shape[1]:
         raise InputError("head width does not match the final map width")
     C = as_per_class_c(head.trade_offs, Y.shape[1])
-    margins = np.maximum(0.0, 1.0 - Y * (F @ head.normals.T))
-    return -2.0 * ((C[None, :] * Y * margins) @ head.normals)
+    return _objective_terms(head.normals, F, Y, C)[3]
 
 
 # overflow passes silently, as in the forward walk; the finite check names it
@@ -342,7 +342,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
                 trace = forward_trace(model, kernel_rows)
                 final = trace.final
                 omega = svm_solve(final, Y, C, initial=head.normals)
-                total, hinge, reg = _objective_terms(omega, final, Y, C)
+                total, hinge, reg, d_final = _objective_terms(omega, final, Y, C)
             if not np.isfinite(total):
                 raise NumericRangeError("objective is not finite")
         except (NumericRangeError, np.linalg.LinAlgError, OverflowError) as err:
@@ -377,7 +377,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
         done = consec >= CONVERGENCE_WINDOW or len(history) == cfg.max_iters
         if not done:
             try:
-                grads = backprop(model, trace, grad_output(head, final, Y))
+                grads = backprop(model, trace, d_final)
             except NumericRangeError as err:
                 # taken at the accepted parameters, so no rate can help
                 raise TrainingDivergedError(
@@ -408,7 +408,7 @@ def cross_validate_C(data: LabeledDataset, model: DmnModel,
     hold both a positive and a negative.  Ties prefer the smallest value;
     classes with no usable fold fall back to the smallest grid value.
     """
-    if int(folds) != folds or folds < 2:
+    if not _is_whole(folds) or folds < 2:
         raise ConfigError("folds must be an integer >= 2")
     folds = int(folds)
     if folds > data.num_samples:

@@ -41,6 +41,15 @@ def test_run_bench_validation():
         run_bench(arch, anchors, sizes=(), reps=5)
     with pytest.raises(ConfigError):
         run_bench(arch, anchors, sizes=(0,), reps=5)
+    for sizes in ((np.nan,), (2.5,), (np.inf,), ("x",)):
+        with pytest.raises(ConfigError, match="support sizes"):
+            run_bench(arch, anchors, sizes=sizes, reps=5)
+    for reps in (np.nan, np.inf, 5.5):
+        with pytest.raises(ConfigError, match="repetitions"):
+            run_bench(arch, anchors, sizes=(4,), reps=reps)
+    for classes in (0, -1, 1.5, np.nan):
+        with pytest.raises(ConfigError, match="at least one class"):
+            run_bench(arch, anchors, sizes=(4,), reps=5, num_classes=classes)
 
 
 def test_report_tsv_layout():

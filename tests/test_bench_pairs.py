@@ -27,8 +27,26 @@ def _pairs(base, change, name):
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("1-4") == [1, 2, 3, 4]
     assert bench_pairs.parse_seeds("3,7,1-2") == [3, 7, 1, 2]
-    with pytest.raises(ValueError):
-        bench_pairs.parse_seeds("x")
+    for text in ("x", "5-3", "1,5-3", ""):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds(text)
+
+
+@pytest.mark.parametrize("seeds", ["5-3", "x"])
+def test_bad_seeds_are_a_usage_error(seeds, capsys):
+    # argparse's usage error, exit 2, before any tree is exported; main
+    # installs a SIGTERM handler, which this process gets back afterwards
+    previous = signal.getsignal(signal.SIGTERM)
+    try:
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main(["--workload", "train-300", "--seeds", seeds,
+                              "--base", "HEAD"])
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: --seeds '{seeds}': " in err
+    assert "Traceback" not in err
 
 
 def test_quartiles_interpolate_between_order_statistics():

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import helpers
-from dmapnet import (AnchorSet, BuildError, ConfigError, DegenerateGramError,
+from dmapnet import (AnchorSet, ConfigError, DegenerateGramError,
                      DknArchitecture, InputError, KernelSpec, LayerSpec,
                      NumericRangeError, SyntheticSpec, build_dmn,
                      default_architecture, default_input_kernels,
@@ -159,7 +159,7 @@ def test_build_errors_name_layer_and_unit():
     # first unit has nothing to retain
     anchors = AnchorSet(samples=np.zeros((3, 2)))
     arch = default_architecture(default_input_kernels(), seed=0)
-    with pytest.raises(BuildError, match="layer 1, unit 1"):
+    with pytest.raises(DegenerateGramError, match="layer 1, unit 1"):
         build_dmn(arch, anchors)
 
 

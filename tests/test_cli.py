@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import helpers
-from dmapnet import load_dataset, load_model, save_dataset
+from dmapnet import (default_input_kernels, load_dataset, load_model,
+                     save_dataset)
 from dmapnet.cli import main
 
 
@@ -139,6 +140,23 @@ def test_train_refuses_an_infinite_trade_off_before_cross_validating(
         assert "error: trade-offs must be positive and finite" in err
         assert "cross-validated" not in err
         assert "using fixed trade-off" not in err
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--max-iters", "0"], "max_iters must be an integer >= 1"),
+    (["--tol", "nan"], "convergence_tol must be >= 0"),
+    (["--tol", "-1"], "convergence_tol must be >= 0"),
+])
+def test_train_refuses_its_configuration_before_cross_validating(
+        tmp_path, capsys, option, message):
+    data_path, model_path = _small_model(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "trained.bin"), *option]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "cross-validated" not in err
+    assert not (tmp_path / "trained.bin").exists()
 
 
 _SPECIAL_VALUES = ("nan", "inf", "-inf", "0", "-1")
@@ -444,6 +462,14 @@ def test_bench_rejects_fractional_sizes(tmp_path, capsys):
     assert not (tmp_path / "bench.tsv").exists()
 
 
+def test_bench_rejects_zero_classes(tmp_path, capsys):
+    prefix = tmp_path / "bench"
+    assert main(["bench", "--out", str(prefix), "--sizes", "4", "--classes", "0",
+                 "--anchors", "10", "--d", "3"]) == 1
+    assert "error: at least one class is required" in capsys.readouterr().err
+    assert not (tmp_path / "bench.tsv").exists()
+
+
 def test_bench_rejects_too_few_anchors(tmp_path, capsys):
     prefix = tmp_path / "bench"
     for count in ("-3", "1"):
@@ -491,6 +517,22 @@ def test_seeded_commands_are_reproducible(tmp_path, capsys):
         assert main(["build-dmn", "--data", str(a), "--out", str(out),
                      "--anchors", "8", "--seed", "11"]) == 0
     assert ma.read_bytes() == mb.read_bytes()
+    capsys.readouterr()
+
+
+def test_build_default_network_is_the_architecture_readers(tmp_path, capsys):
+    # the default layers read from --arch without weights draw the same
+    # weights, so the two model files agree byte for byte
+    data_path, model_path = _small_model(tmp_path)
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(json.dumps({
+        "input_kernels": [k.to_dict() for k in default_input_kernels()],
+        "layers": [{"width": 8, "activation": "tanh"},
+                   {"width": 1, "activation": "exp"}]}))
+    read_path = tmp_path / "read.bin"
+    assert main(["build-dmn", "--data", str(data_path), "--out", str(read_path),
+                 "--arch", str(arch_path), "--anchors", "14", "--seed", "3"]) == 0
+    assert read_path.read_bytes() == model_path.read_bytes()
     capsys.readouterr()
 
 

@@ -43,6 +43,16 @@ def test_spec_validation():
         SyntheticSpec(num_samples=10, num_features=2, num_classes=1, clusters=0)
     with pytest.raises(InputError):
         SyntheticSpec(num_samples=10, num_features=2, num_classes=1, noise=0.5)
+    # counts follow one whole-number rule, checked before anything is drawn
+    for field in ("num_samples", "num_features", "num_classes", "clusters"):
+        for value in (2.5, np.inf, np.nan, "x"):
+            counts = {"num_samples": 10, "num_features": 2, "num_classes": 1,
+                      field: value}
+            with pytest.raises(InputError, match=field):
+                SyntheticSpec(**counts)
+    spec = SyntheticSpec(num_samples=10.0, num_features=2, num_classes=1)
+    assert type(spec.num_samples) is int
+    assert generate_synthetic(spec).num_samples == 10
 
 
 def test_generate_shapes_and_coverage():

@@ -327,6 +327,23 @@ def test_default_architecture_hidden_width():
     assert default_architecture(kernels, hidden_width=5).widths == [4, 5, 1]
 
 
+@pytest.mark.parametrize("hidden_width", [None, 1, 3, 8])
+def test_default_architecture_is_the_readers(hidden_width):
+    # the same layers read without weights draw bitwise the same weights
+    kernels = default_input_kernels()
+    layers = [{"width": 2 * len(kernels) if hidden_width is None else hidden_width,
+               "activation": "tanh"}, {"width": 1, "activation": "exp"}]
+    obj = {"input_kernels": [k.to_dict() for k in kernels], "layers": layers}
+    for seed in range(5):
+        default = default_architecture(kernels, hidden_width=hidden_width,
+                                       seed=seed)
+        read = DknArchitecture.from_json_dict(obj, seed=seed)
+        assert read.input_kernels == default.input_kernels
+        for a, b in zip(read.layers, default.layers, strict=True):
+            assert (a.width, a.activation) == (b.width, b.activation)
+            assert a.weights.tobytes() == b.weights.tobytes()
+
+
 def test_identity_convex_combination_stays_in_envelope():
     # with identity activation and weights summing to one, each output
     # entry is a convex combination of the input gram entries

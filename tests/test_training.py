@@ -243,8 +243,10 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=np.inf)
-    with pytest.raises(ConfigError):
-        TrainConfig(max_iters=0)
+    for count in (0, 2.5, np.inf, np.nan, "x"):
+        with pytest.raises(ConfigError, match="max_iters"):
+            TrainConfig(max_iters=count)
+    assert TrainConfig(max_iters=3.0).max_iters == 3
     with pytest.raises(ConfigError):
         TrainConfig(convergence_tol=-0.1)
 
@@ -472,8 +474,9 @@ def test_cross_validation_edge_cases():
     model, head, data = helpers.toy_problem(seed=58, n=4)
     chosen = cross_validate_C(data, model, folds=2, grid=(1.0, 2.0))
     assert chosen.shape == (data.num_classes,)
-    with pytest.raises(ConfigError):
-        cross_validate_C(data, model, folds=1)
+    for folds in (1, 2.5, np.inf, np.nan, "x"):
+        with pytest.raises(ConfigError, match="folds"):
+            cross_validate_C(data, model, folds=folds)
     with pytest.raises(ConfigError):
         cross_validate_C(data, model, folds=2, grid=())
     with pytest.raises(ConfigError):

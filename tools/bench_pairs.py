@@ -41,10 +41,13 @@ SIDES = ("base", "change")
 
 
 def parse_seeds(text: str) -> list:
-    """``"1-10"`` or ``"1,2,5"`` as a list of ints."""
+    """``"1-10"`` or ``"1,2,5"`` as a list of ints; ValueError for anything
+    else, a downward range such as ``"5-3"`` included."""
     seeds = []
     for part in text.split(","):
         lo, sep, hi = part.partition("-")
+        if sep and int(hi) < int(lo):
+            raise ValueError(f"range {part!r} runs downward")
         seeds.extend(range(int(lo), int(hi) + 1) if sep else [int(lo)])
     if not seeds:
         raise ValueError("no seeds given")
@@ -171,12 +174,15 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare with")
     parser.add_argument("--out", help="default: BENCH_<workload>.json at the root")
     args = parser.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as err:
+        parser.error(f"--seeds {args.seeds!r}: {err}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         parser.error(f"unknown workload {args.workload!r}")
     seconds = spec["run_seconds"]
-    seeds = parse_seeds(args.seeds)
     head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
                           capture_output=True, text=True).stdout.strip()
     modified = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain",
