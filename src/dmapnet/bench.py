@@ -19,7 +19,7 @@ import numpy as np
 from .builder import AnchorSet, DEFAULT_CLIP_RATIO, build_dmn
 from .dkn import DknArchitecture, dkn_classify
 from .errors import ConfigError, drawing
-from .kernels import _is_whole
+from .kernels import _is_whole, _seed
 from .model import ClassifierHead, classify
 
 
@@ -110,7 +110,7 @@ def run_bench(arch: DknArchitecture, anchors: AnchorSet, sizes=(500, 1000, 2000,
     if not _is_whole(num_classes) or num_classes < 1:
         raise ConfigError("at least one class is required")
     reps, num_classes = int(reps), int(num_classes)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed, ConfigError))
     d = anchors.samples.shape[1]
     low = anchors.samples.min(axis=0)
     high = anchors.samples.max(axis=0)

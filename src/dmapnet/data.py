@@ -8,13 +8,14 @@ with 17 significant digits, which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, GenerationError, InputError
 from .fileio import atomic_write_text
-from .kernels import _is_whole
+from .kernels import _is_whole, _seed
 
 
 @dataclass
@@ -87,8 +88,9 @@ class SyntheticSpec:
                 raise InputError(f"{name} must be an integer >= {least}, "
                                  f"got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not 0.0 <= self.noise < 0.5:
+        if not (isinstance(self.noise, numbers.Real) and 0.0 <= self.noise < 0.5):
             raise InputError("label noise rate must lie in [0, 0.5)")
+        object.__setattr__(self, "seed", _seed(self.seed, InputError))
 
 
 # Internal scale of the synthetic source.  Centers live well inside the

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericRangeError, drawing
-from .kernels import GramMatrix, KernelSpec, _is_whole, block_rows, eval_kernel
+from .kernels import (GramMatrix, KernelSpec, _is_whole, _seed, block_rows,
+                      eval_kernel)
 
 TANH = "tanh"
 EXP = "exp"
@@ -175,7 +176,7 @@ def random_mixing_weights(width: int, prev_width: int, rng) -> np.ndarray:
 def _mixing_layers(layer_objs, prev: int, seed: int) -> list:
     """LayerSpecs over ``prev`` input kernels from parsed layer objects; each
     missing weight matrix is drawn from one generator seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed, ConfigError))
     layers = []
     for number, raw in enumerate(layer_objs, start=2):
         if not isinstance(raw, dict) or "width" not in raw or "activation" not in raw:

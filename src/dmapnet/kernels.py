@@ -59,6 +59,14 @@ def _is_whole(value) -> bool:
         return False
 
 
+def _seed(value, error) -> int:
+    """``value`` as a generator seed, an integer >= 0; raises ``error``, the
+    caller's typed error, for anything else."""
+    if not _is_whole(value) or value < 0:
+        raise error(f"seed must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A parametric base kernel.

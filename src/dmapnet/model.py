@@ -32,7 +32,7 @@ import numpy as np
 from .dkn import DknArchitecture, LayerSpec, activate, check_finite, combine
 from .errors import ConfigError, FormatError, InputError, VersionError
 from .fileio import atomic_write_bytes
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec, _seed, gram_matrix
 
 MODEL_MAGIC = b"DMAPMDL\x00"
 MODEL_VERSION = 3
@@ -207,7 +207,7 @@ class ClassifierHead:
                scale: float = 0.01) -> "ClassifierHead":
         """Normals drawn from ``N(0, scale**2)``; ``trade_off`` is one value
         for every class or one per class."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed, ConfigError))
         return cls(scale * rng.standard_normal((num_classes, width)), trade_off)
 
 

@@ -18,6 +18,7 @@ pass that keeps the activations ``backprop`` reads.
 from __future__ import annotations
 
 import copy
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -58,12 +59,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.learning_rate < np.inf:
+        if not (isinstance(self.learning_rate, numbers.Real)
+                and 0 <= self.learning_rate < np.inf):
             raise ConfigError("learning_rate must be finite and >= 0")
         if not _is_whole(self.max_iters) or self.max_iters < 1:
             raise ConfigError("max_iters must be an integer >= 1")
         self.max_iters = int(self.max_iters)
-        if not self.convergence_tol >= 0:
+        if not (isinstance(self.convergence_tol, numbers.Real)
+                and self.convergence_tol >= 0):
             raise ConfigError("convergence_tol must be >= 0")
 
 
@@ -217,7 +220,7 @@ def _objective_terms(omega, F, Y, C):
 
 def objective(model: DmnModel, head: ClassifierHead, data: LabeledDataset) -> float:
     """Squared-hinge objective of the head over the model's final maps."""
-    final, _ = forward_batch(model, data.features)
+    final = forward_batch(model, data.features)[0]  # the lower maps go at once
     C = as_per_class_c(head.trade_offs, data.num_classes)
     return _objective_terms(head.normals, final, data.labels, C)[0]
 
@@ -239,8 +242,10 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
 
     ``batch`` is ``forward_trace``'s record of the samples ``output_grads``
     refers to; its activations and maps are read as they are, and none is
-    recomputed.  A non-finite gradient raises ``NumericRangeError`` naming
-    its parameter.
+    recomputed.  Beyond the trace and the gradients, the walk holds one
+    layer's activation gradients ``ds`` and, taking the units below one at
+    a time, one unit's product with its anchors or its share of ``ds``.
+    A non-finite gradient raises ``NumericRangeError`` naming its parameter.
     """
     G = np.asarray(output_grads, dtype=np.float64)
     n = batch.num_samples
@@ -261,22 +266,29 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
         if l == 0:
             break  # the input layer has no activation, weights or layer below
         spec = model.arch.layers[l - 1]
-        ds = [activation_prime(spec.activation, batch.h[l][p])
-              * (d_out[p] @ unit.projection.T)
-              for p, unit in enumerate(model.layers[l])]
-        # pre_p = sum_q w[p, q] * phi_q @ M_q.T, so lower unit q sees
-        # sum_p w[p, q] * ds_p through its map and its anchors alike
-        d_pre = combine(spec.weights.T, ds)
+        ds = []
+        for p, unit in enumerate(model.layers[l]):
+            back = d_out[p] @ unit.projection.T
+            back *= activation_prime(spec.activation, batch.h[l][p])
+            ds.append(back)
+            d_out[p] = None  # read only to make ds_p
         weight_grad = np.zeros_like(spec.weights)
         grads[id(spec), "weights"] = weight_grad
         d_out = []
+        # pre_p = sum_q w[p, q] * phi_q @ M_q.T, so lower unit q sees
+        # sum_p w[p, q] * ds_p through its map and its anchors alike; the
+        # lower units go one at a time, each dropping its S_q and d_pre_q
         for q, unit in enumerate(model.layers[l - 1]):
             phi = batch.out[l - 1][q]
             S = phi @ unit.anchors.T
             for p, dsp in enumerate(ds):
                 weight_grad[p, q] = float(np.vdot(dsp, S))
-            grads[id(unit), "anchors"] = d_pre[q].T @ phi
-            d_out.append(d_pre[q] @ unit.anchors)
+            del S
+            # combine's q-th sum of combine(W.T, ds), by the same operations
+            d_pre = combine(spec.weights.T[q:q + 1], ds)[0]
+            grads[id(unit), "anchors"] = d_pre.T @ phi
+            d_out.append(d_pre @ unit.anchors)
+            del d_pre
 
     for name, owner, attribute in parameters(model):
         if not np.isfinite(grads[id(owner), attribute]).all():
@@ -316,7 +328,8 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
     is raised when the first evaluation fails or a rejection arrives after
     ``MAX_HALVINGS`` halvings, or when the gradient at an accepted
     evaluation is not finite; it carries the last accepted model, head and
-    history.
+    history.  Between steps the loop holds one trace, one set of gradients
+    and one snapshot, and lets each go before its replacement is made.
     """
     if data.num_classes != head.num_classes:
         raise ConfigError("head classes must match the dataset classes")
@@ -339,6 +352,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
             # overflow surfaces as a non-finite objective or as one of the
             # errors below, and either way rejects the evaluation
             with np.errstate(over="ignore", invalid="ignore"):
+                trace = None  # the last trace goes before the next is made
                 trace = forward_trace(model, kernel_rows)
                 final = trace.final
                 omega = svm_solve(final, Y, C, initial=head.normals)
@@ -367,6 +381,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
             apply_gradients(model, grads, eta)
             continue
         head.normals = omega
+        accepted = None  # only a rejection reads the last snapshot
         entry = TrainLogEntry(iteration=len(history) + 1, objective=total,
                               hinge=hinge, regularizer=reg, wall_ms=0.0)
         history.append(entry)
@@ -377,6 +392,7 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
         done = consec >= CONVERGENCE_WINDOW or len(history) == cfg.max_iters
         if not done:
             try:
+                grads = None  # the last gradients go before the next are made
                 grads = backprop(model, trace, d_final)
             except NumericRangeError as err:
                 # taken at the accepted parameters, so no rate can help
@@ -416,7 +432,7 @@ def cross_validate_C(data: LabeledDataset, model: DmnModel,
     grid = sorted(set(as_per_class_c(grid, len(grid)).tolist()))
     if not grid:
         raise ConfigError("grid must hold at least one trade-off")
-    final, _ = forward_batch(model, data.features)
+    final = forward_batch(model, data.features)[0]  # the lower maps go at once
     Y = data.labels
     n, K = Y.shape
     fold_of = np.arange(n) % folds

@@ -119,6 +119,23 @@ def test_verdict_reads_the_change_against_the_bound():
     assert read([50] * 10, base=wide) == "held"
 
 
+def test_failures_compare_each_sides_failed_share():
+    def run(attempted, failed):
+        return {"attempted": attempted, "failed": failed}
+
+    pairs = [{"base": run(10, 0), "change": run(12, 1)},
+             {"base": run(10, 1), "change": run(12, 0)}]
+    failures = bench_pairs.compare_failures(pairs)
+    assert failures["base"] == {"attempted": 20, "failed": 1}
+    assert failures["change"] == {"attempted": 24, "failed": 1}
+    # 1 of 24 is a smaller share than 1 of 20
+    assert not failures["more_failures"]
+    pairs[1]["change"] = run(12, 1)
+    assert bench_pairs.compare_failures(pairs)["more_failures"]
+    clean = [{"base": run(5, 0), "change": run(7, 0)}]
+    assert not bench_pairs.compare_failures(clean)["more_failures"]
+
+
 @pytest.mark.skipif(not (_PATH.parent.parent / ".git").exists(),
                     reason="the tool exports its base revision with git")
 def test_sigterm_removes_both_trees(tmp_path):

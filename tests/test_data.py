@@ -43,6 +43,8 @@ def test_spec_validation():
         SyntheticSpec(num_samples=10, num_features=2, num_classes=1, clusters=0)
     with pytest.raises(InputError):
         SyntheticSpec(num_samples=10, num_features=2, num_classes=1, noise=0.5)
+    with pytest.raises(InputError, match="noise"):
+        SyntheticSpec(num_samples=10, num_features=2, num_classes=1, noise="x")
     # counts follow one whole-number rule, checked before anything is drawn
     for field in ("num_samples", "num_features", "num_classes", "clusters"):
         for value in (2.5, np.inf, np.nan, "x"):

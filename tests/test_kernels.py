@@ -1,13 +1,18 @@
 """Base kernels: single evaluations, gram matrices and their agreement."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dmapnet import (ConfigError, GramMatrix, InputError, KernelSpec,
-                     eval_kernel, gram_matrix)
+import helpers
+from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
+                     GramMatrix, InputError, KernelSpec, SyntheticSpec,
+                     default_architecture, default_input_kernels, eval_kernel,
+                     generate_synthetic, gram_matrix, load_architecture,
+                     run_bench)
 from dmapnet.kernels import KERNEL_KINDS, block_rows, max_asymmetry
 
 ALL_SPECS = [
@@ -209,3 +214,44 @@ def test_gram_matrix_makes_no_second_gram_sized_array(spec):
             tracemalloc.stop()
         assert gm.shape == (1000, 1000)
         assert peak < 1.5 * gram_bytes
+
+
+def _arch_file(tmp_path, seed):
+    path = tmp_path / "arch.json"
+    obj = default_architecture(default_input_kernels()).to_json_dict()
+    for layer in obj["layers"]:
+        del layer["weights"]
+    path.write_text(json.dumps(obj))
+    return load_architecture(path, seed=seed)
+
+
+def _bench(tmp_path, seed):
+    rng = np.random.default_rng(71)
+    return run_bench(helpers.toy_arch(rng),
+                     AnchorSet(samples=rng.uniform(0.0, 0.5, size=(6, 3))),
+                     sizes=(4,), reps=5, seed=seed)
+
+
+SEEDED_ENTRIES = {
+    "synthetic": (lambda tmp_path, seed: generate_synthetic(SyntheticSpec(
+        num_samples=10, num_features=2, num_classes=1, seed=seed)), InputError),
+    "default-architecture": (lambda tmp_path, seed: default_architecture(
+        default_input_kernels(), seed=seed), ConfigError),
+    "from-json-dict": (lambda tmp_path, seed: DknArchitecture.from_json_dict(
+        default_architecture(default_input_kernels()).to_json_dict(), seed=seed),
+        ConfigError),
+    "load-architecture": (_arch_file, ConfigError),
+    "head-random": (lambda tmp_path, seed: ClassifierHead.random(2, 3, seed=seed),
+                    ConfigError),
+    "run-bench": (_bench, ConfigError),
+}
+
+
+@pytest.mark.parametrize("seed", [2.5, -1])
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRIES))
+def test_library_seeds_follow_one_rule(entry, seed, tmp_path):
+    # numpy's generator raised a raw TypeError for 2.5 and ValueError for -1;
+    # each entry point now raises the typed error of its other fields
+    call, error = SEEDED_ENTRIES[entry]
+    with pytest.raises(error, match="seed must be an integer >= 0"):
+        call(tmp_path, seed)

@@ -9,14 +9,21 @@ sides run from directories that differ only in their last name.  For each
 seed, both trees run ``perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s
 ``run_seconds``, one after the other; which side goes first alternates from
 seed to seed.  The
-result goes to ``BENCH_<workload>.json`` (or ``--out``): every run's
-end-to-end metrics with its ``attempted`` and ``failed`` counts and its
-``# provenance`` line, and for each metric both sides' quartiles, the pairs
-the working tree won (ties count for neither side), whether the gap
-between the medians exceeds the base's interquartile range, the
-quartiles of the per-pair ``change / base`` ratios, and a verdict against
-the metric's no-regression bound: ``held``, ``worse`` or ``unresolved``
-(see ``_verdict``).  The two runs of a pair
+result goes to ``BENCH_<workload>.json`` (or ``--out``):
+
+- every run's end-to-end metrics with its ``attempted`` and ``failed``
+  counts and its ``# provenance`` line;
+- for each metric both sides' quartiles, the pairs the working tree won
+  (ties count for neither side), whether the gap between the medians
+  exceeds the base's interquartile range, the quartiles of the per-pair
+  ``change / base`` ratios, and a verdict against the metric's
+  no-regression bound: ``held``, ``worse`` or ``unresolved`` (see
+  ``_verdict``);
+- each side's total ``attempted`` and ``failed`` operations, and
+  ``more_failures`` when the working tree's failed share exceeds the
+  base's, since a gain does not count then (see ``compare_failures``).
+
+The two runs of a pair
 share the machine's state at that moment, so the ratios show a change even
 when the machine drifts across the series more than the change moves it.
 SIGTERM stops a run like Ctrl-C: the running benchmark is killed and both
@@ -118,6 +125,20 @@ def summarize(pairs, metrics) -> dict:
     return summary
 
 
+def compare_failures(pairs) -> dict:
+    """Each side's total ``attempted`` and ``failed`` operations over
+    ``pairs`` (``{"base": run, "change": run}`` with ``run_once``'s counts),
+    and ``more_failures``: whether the change's failed share is higher."""
+    totals = {side: {"attempted": sum(p[side]["attempted"] for p in pairs),
+                     "failed": sum(p[side]["failed"] for p in pairs)}
+              for side in SIDES}
+    base, change = totals["base"], totals["change"]
+    # failed / attempted compared without dividing, so no side needs an op
+    totals["more_failures"] = (change["failed"] * base["attempted"]
+                               > base["failed"] * change["attempted"])
+    return totals
+
+
 def export_revision(rev: str, dest: Path) -> str:
     """Write the tree of ``rev`` into ``dest``; returns the full commit id."""
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
@@ -213,6 +234,7 @@ def main(argv=None) -> int:
         "change": {"tree": "working tree", "head": head, "src_modified": modified},
         "pairs": pairs,
         "summary": summary,
+        "failures": compare_failures(pairs),
     }
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
@@ -222,6 +244,10 @@ def main(argv=None) -> int:
               f"{s['change_quartiles'][1]:.6g} wins {s['wins']}/{s['pairs']} "
               f"gap>IQR {s['gap_exceeds_base_iqr']} median ratio "
               f"{ratio[1] if ratio else float('nan'):.4g} verdict {s['verdict']}")
+    failures = report["failures"]
+    print("failed ops: " + ", ".join(
+        f"{side} {failures[side]['failed']}/{failures[side]['attempted']}"
+        for side in SIDES) + f" more_failures {failures['more_failures']}")
     return 0
 
 
