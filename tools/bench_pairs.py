@@ -8,8 +8,7 @@ Run from the repository root.  The base revision is exported with
 sides run from directories that differ only in their last name.  For each
 seed, both trees run ``perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s
 ``run_seconds``, one after the other; which side goes first alternates from
-seed to seed.  The
-result goes to ``BENCH_<workload>.json`` (or ``--out``):
+seed to seed.  The result goes to ``BENCH_<workload>.json`` (or ``--out``):
 
 - every run's end-to-end metrics with its ``attempted`` and ``failed``
   counts and its ``# provenance`` line;
