@@ -17,9 +17,13 @@ anchors = AnchorSet(samples=rng.uniform(0.0, 0.05, size=(30, 6)))
 arch = default_architecture(default_input_kernels(), seed=1)
 print(f"architecture: {arch.num_layers} layers with widths {arch.widths}")
 
-print("\nbuild log (eigenvalue clipping per unit):")
-model = build_dmn(arch, anchors, clip_ratio=1e-10,
-                  log=lambda line: print("  " + line))
+model = build_dmn(arch, anchors, clip_ratio=1e-10)
+print("\neigenvalue clipping per unit (each unit's clip report):")
+for l, units in enumerate(model.layers, start=1):
+    for p, unit in enumerate(units, start=1):
+        report = unit.clip_report
+        print(f"  layer {l} unit {p}: retained {report.retained}, discarded "
+              f"{report.discarded} (max |eig| {report.discarded_max_abs:.3e})")
 
 print("\nper-unit map widths after clipping:")
 for l, units in enumerate(model.layers, start=1):

@@ -13,6 +13,7 @@ sum, over the lower units, of those maps' inner products, then activated.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .dkn import DknArchitecture, EXP, activate, combine, gram_layers
 from .errors import (ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
-from .kernels import gram_matrix, max_asymmetry
+from .kernels import _floats, gram_matrix, max_asymmetry
 from .model import (ClipReport, DmnModel, DmnUnit, anchor_id_tuple,
                     forward_batch)
 
@@ -38,14 +39,12 @@ class AnchorSet:
     ids: tuple = ()
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = _floats(self.samples, "anchor samples", InputError)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 2:
             raise InputError("anchor samples must form a 2-D array")
         if samples.shape[0] < 2:
             raise InputError("at least two anchor samples are required")
-        if not np.isfinite(samples).all():
-            raise InputError("anchor samples must be finite")
         object.__setattr__(self, "ids",
                            anchor_id_tuple(self.ids, samples.shape[0]))
 
@@ -83,13 +82,11 @@ def eigen_projection(gram, clip_ratio: float = DEFAULT_CLIP_RATIO) -> EigenFacto
     one (negative ones included) are dropped.  Raises DegenerateGramError
     when nothing survives.
     """
-    if not 0 <= clip_ratio < np.inf:
-        raise ConfigError("clip_ratio must be finite and >= 0")
-    values = np.asarray(getattr(gram, "values", gram), dtype=np.float64)
+    if not (isinstance(clip_ratio, numbers.Real) and 0 <= clip_ratio < np.inf):
+        raise ConfigError(f"clip_ratio must be finite and >= 0, got {clip_ratio!r}")
+    values = _floats(getattr(gram, "values", gram), "gram", InputError)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
         raise InputError("eigen_projection expects a non-empty square matrix")
-    if not np.isfinite(values).all():
-        raise InputError("gram contains non-finite entries")
     asym = max_asymmetry(values)
     if asym > 1e-8:
         raise InputError(f"gram must be symmetric; max asymmetry {asym:.3e}")
@@ -153,11 +150,11 @@ def _grams(arch: DknArchitecture, number: int, samples, built: list):
 
 
 def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
-              clip_ratio: float = DEFAULT_CLIP_RATIO, log=None) -> DmnModel:
+              clip_ratio: float = DEFAULT_CLIP_RATIO) -> DmnModel:
     """Construct the full explicit-map model for a network architecture.
 
-    ``log`` is an optional callable receiving one text line per unit with
-    the retained width and discarded eigenvalue mass.
+    Each unit's ``clip_report`` records its retained width and discarded
+    eigenvalue mass.
     """
     unit_layers = []
     for number in range(1, arch.num_layers + 1):
@@ -166,11 +163,6 @@ def build_dmn(arch: DknArchitecture, anchors: AnchorSet,
         for p, gram in enumerate(grams, start=1):
             units.append(_unit(gram, clip_ratio, number, p, number == arch.num_layers))
             del gram  # the gram goes once its unit is built
-            if log is not None:
-                report = units[-1].clip_report
-                log(f"layer {number} unit {p}: retained {report.retained}, "
-                    f"discarded {report.discarded} "
-                    f"(max |eig| {report.discarded_max_abs:.3e})")
         unit_layers.append(units)
     return DmnModel(layers=unit_layers, arch=copy.deepcopy(arch),
                     anchor_samples=anchors.samples.copy(),

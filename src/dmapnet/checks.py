@@ -6,6 +6,7 @@ Backs the ``gradcheck`` command and the test harness.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ def finite_difference_gradients(model: DmnModel, head: ClassifierHead,
     across zero weights are as valid as anywhere else.  ``step`` must be
     positive and finite.
     """
-    if not 0 < step < np.inf:
+    if not (isinstance(step, numbers.Real) and 0 < step < np.inf):
         raise ConfigError(f"step must be positive and finite, got {step!r}")
     work = copy.deepcopy(model)
 
@@ -68,7 +69,7 @@ def gradient_check(model: DmnModel, head: ClassifierHead, data: LabeledDataset,
     Returns ``(all_passed, rows)``.  ``step`` and ``tol`` must be positive
     and finite.
     """
-    if not 0 < tol < np.inf:
+    if not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
         raise ConfigError(f"tol must be positive and finite, got {tol!r}")
     numeric = finite_difference_gradients(model, head, data, step=step)
     trace = forward_trace(model, input_kernel_rows(model, data.features))

@@ -238,7 +238,12 @@ def _cmd_build_dmn(opts) -> int:
         arch = load_architecture(opts["arch"], seed=opts["seed"])
     else:
         arch = _default_arch_for(opts)
-    model = build_dmn(arch, anchors, clip_ratio=opts["clip_ratio"], log=_log)
+    model = build_dmn(arch, anchors, clip_ratio=opts["clip_ratio"])
+    for l, units in enumerate(model.layers, start=1):
+        for p, unit in enumerate(units, start=1):
+            report = unit.clip_report
+            _log(f"layer {l} unit {p}: retained {report.retained}, discarded "
+                 f"{report.discarded} (max |eig| {report.discarded_max_abs:.3e})")
     save_model(model, None, opts["out"])
     _log(f"wrote model ({model.anchor_count} anchors, "
          f"{model.arch.num_layers} layers) to {opts['out']}")

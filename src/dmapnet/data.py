@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FormatError, GenerationError, InputError
 from .fileio import atomic_write_text
-from .kernels import _is_whole, _seed
+from .kernels import _floats, _is_whole, _seed
 
 
 @dataclass
@@ -31,14 +31,12 @@ class LabeledDataset:
     ids: tuple = ()
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
+        self.features = _floats(self.features, "features", InputError)
+        self.labels = _floats(self.labels, "labels", InputError)
         if self.features.ndim != 2:
             raise InputError("features must form a 2-D array")
         if self.labels.ndim != 2 or self.labels.shape[0] != self.features.shape[0]:
             raise InputError("labels must be (samples x classes)")
-        if not np.isfinite(self.features).all():
-            raise InputError("features must be finite")
         if not np.isin(self.labels, (-1.0, 1.0)).all():
             raise InputError("labels must be exactly -1 or +1")
         if not self.ids:

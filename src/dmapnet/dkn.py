@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericRangeError, drawing
-from .kernels import (GramMatrix, KernelSpec, _is_whole, _seed, block_rows,
-                      eval_kernel)
+from .kernels import (GramMatrix, KernelSpec, _floats, _is_whole, _seed,
+                      block_rows, eval_kernel)
 
 TANH = "tanh"
 EXP = "exp"
@@ -76,16 +76,11 @@ class LayerSpec:
         self.width = _layer_width(self.width)
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        try:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"mixing weights must be numbers: {err}") from err
+        self.weights = _floats(self.weights, "mixing weights", ConfigError)
         if (self.weights.ndim != 2 or self.weights.shape[0] != self.width
                 or not self.weights.shape[1]):
             raise ConfigError(f"weights must have shape ({self.width}, prev_width "
                               f">= 1), got {self.weights.shape}")
-        if not np.isfinite(self.weights).all():
-            raise ConfigError("mixing weights must be finite")
         if np.min(self.weights) < 0:
             raise ConfigError("mixing weights must be nonnegative")
 
@@ -169,7 +164,7 @@ class DknArchitecture:
 
 def random_mixing_weights(width: int, prev_width: int, rng) -> np.ndarray:
     """Uniform nonnegative weights with each unit's row normalized to sum 1."""
-    w = rng.uniform(0.0, 1.0, size=(width, prev_width))
+    w = rng.uniform(0.0, 1.0, size=(_layer_width(width), _layer_width(prev_width)))
     return w / w.sum(axis=1, keepdims=True)
 
 

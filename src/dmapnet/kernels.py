@@ -67,6 +67,19 @@ def _seed(value, error) -> int:
     return int(value)
 
 
+def _floats(value, what: str, error) -> np.ndarray:
+    """``value`` as a float64 array, uncopied when it already is one; raises
+    ``error``, the caller's typed error, naming ``what`` when ``value`` is
+    not numbers or holds a non-finite entry."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise error(f"{what} must be numbers: {err}") from err
+    if not np.isfinite(arr).all():
+        raise error(f"{what} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A parametric base kernel.
@@ -131,12 +144,10 @@ class GramMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _floats(self.values, "gram matrix", InputError)
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise InputError("gram values must form a 2-D matrix")
-        if not np.isfinite(values).all():
-            raise InputError("gram matrix contains non-finite entries")
 
     @property
     def shape(self) -> tuple:
@@ -144,18 +155,13 @@ class GramMatrix:
 
 
 def _as_samples(x, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as err:
-        raise InputError(f"{name} could not be converted to a float array") from err
+    arr = _floats(x, name, InputError)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise InputError(f"{name} must be a 2-D sample array, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise InputError(f"{name} must contain at least one sample and one feature")
-    if not np.isfinite(arr).all():
-        raise InputError(f"{name} contains non-finite values")
     return arr
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .kernels import _floats
 
 
 def f_measure(predicted, truth) -> float:
@@ -79,12 +80,10 @@ def evaluate(scores, truth) -> EvalReport:
 
     A concept is predicted present when its score is strictly positive.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    scores = _floats(scores, "scores", InputError)
+    truth = _floats(truth, "truth", InputError)
     if scores.ndim != 2 or truth.shape != scores.shape:
         raise InputError("scores and truth must be equal-shape 2-D arrays")
-    if not np.isfinite(scores).all():
-        raise InputError("scores must be finite")
     if not np.isin(truth, (-1.0, 1.0)).all():
         raise InputError("truth entries must be exactly -1 or +1")
     n, K = scores.shape

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 
@@ -32,7 +33,8 @@ import numpy as np
 from .dkn import DknArchitecture, LayerSpec, activate, check_finite, combine
 from .errors import ConfigError, FormatError, InputError, VersionError
 from .fileio import atomic_write_bytes
-from .kernels import KernelSpec, _seed, gram_matrix
+from .kernels import (KernelSpec, _as_samples, _floats, _is_whole, _seed,
+                      gram_matrix)
 
 MODEL_MAGIC = b"DMAPMDL\x00"
 MODEL_VERSION = 3
@@ -117,7 +119,8 @@ class DmnModel:
     anchor_ids: tuple = ()
 
     def __post_init__(self):
-        self.anchor_samples = np.asarray(self.anchor_samples, dtype=np.float64)
+        self.anchor_samples = _floats(self.anchor_samples, "anchor samples",
+                                      ConfigError)
         if self.anchor_samples.ndim != 2:
             raise ConfigError("anchor samples must be 2-D")
         self.anchor_ids = anchor_id_tuple(self.anchor_ids, self.anchor_count)
@@ -135,13 +138,15 @@ class DmnModel:
 def _check_model(model: DmnModel) -> None:
     """The one rule for a valid model, applied on construction and by
     ``save_model`` and ``load_model``.  Raises ConfigError, naming the layer
-    and unit, unless the anchor samples are finite and each unit fits the
-    architecture over them: one row per anchor sample, anchor maps as wide
-    as the projection below the last layer and none in it, and a clip report
-    that keeps the unit's width of its gram's eigenvalues and drops the rest."""
+    and unit, unless the anchor samples, mixing weights and unit matrices
+    are finite and each unit fits the architecture over the anchor samples:
+    one row per anchor sample, anchor maps as wide as the projection below
+    the last layer and none in it, and a clip report that keeps the unit's
+    width of its gram's eigenvalues and drops the rest."""
     widths, n = model.arch.widths, model.anchor_count
-    if not np.isfinite(model.anchor_samples).all():
-        raise ConfigError("anchor samples must be finite")
+    _floats(model.anchor_samples, "anchor samples", ConfigError)
+    for number, spec in enumerate(model.arch.layers, start=2):
+        _floats(spec.weights, f"layer {number}: mixing weights", ConfigError)
     if len(model.layers) != len(widths):
         raise ConfigError("unit layers must match the architecture depth")
     for l, units in enumerate(model.layers):
@@ -150,6 +155,9 @@ def _check_model(model: DmnModel) -> None:
                 f"layer {l + 1} has {len(units)} units, expected {widths[l]}"
             )
         for p, unit in enumerate(units):
+            for name in ("anchors", "projection"):
+                _floats(getattr(unit, name), f"layer {l + 1}, unit {p + 1}: {name}",
+                        ConfigError)
             if unit.anchors.shape[0] != n or unit.projection.shape[0] != n:
                 raise ConfigError(
                     f"layer {l + 1}, unit {p + 1}: anchors and projection "
@@ -172,7 +180,10 @@ def as_per_class_c(c_policy, num_classes: int) -> np.ndarray:
     """The one trade-off rule: ``c_policy`` as one positive, finite value
     per class.  A scalar is broadcast over the classes; a float64 array of
     the right shape comes back as it is, uncopied."""
-    c = np.asarray(c_policy, dtype=np.float64)
+    try:
+        c = np.asarray(c_policy, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"trade-offs must be numbers: {err}") from err
     if c.ndim == 0:
         c = np.full(num_classes, c)
     if c.shape != (num_classes,):
@@ -191,12 +202,10 @@ class ClassifierHead:
     trade_offs: np.ndarray  # (classes,), as as_per_class_c gives them
 
     def __post_init__(self):
-        self.normals = np.asarray(self.normals, dtype=np.float64)
+        self.normals = _floats(self.normals, "head normals", ConfigError)
         if self.normals.ndim != 2:
             raise ConfigError("head normals must be 2-D (classes x map width)")
         self.trade_offs = as_per_class_c(self.trade_offs, self.normals.shape[0])
-        if not np.isfinite(self.normals).all():
-            raise ConfigError("head normals must be finite")
 
     @property
     def num_classes(self) -> int:
@@ -207,17 +216,21 @@ class ClassifierHead:
                scale: float = 0.01) -> "ClassifierHead":
         """Normals drawn from ``N(0, scale**2)``; ``trade_off`` is one value
         for every class or one per class."""
+        for name, count in (("num_classes", num_classes), ("width", width)):
+            if not _is_whole(count) or count < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {count!r}")
+        if not isinstance(scale, numbers.Real):
+            raise ConfigError(f"scale must be a number, got {scale!r}")
         rng = np.random.default_rng(_seed(seed, ConfigError))
-        return cls(scale * rng.standard_normal((num_classes, width)), trade_off)
+        return cls(scale * rng.standard_normal((int(num_classes), int(width))),
+                   trade_off)
 
 
 def input_kernel_rows(model: DmnModel, X) -> list:
     """Kernel values of each sample against the anchor samples, one matrix
     per input unit.  These depend only on the anchor samples and the base
     kernels, so training loops compute them once and reuse them."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = _as_samples(X, "X")
     if X.shape[1] != model.anchor_samples.shape[1]:
         raise InputError(
             f"sample dimension {X.shape[1]} does not match anchors "
@@ -294,7 +307,7 @@ def classify(model: DmnModel, head: ClassifierHead, x) -> tuple:
 
     Labels are +1 where the score is strictly positive, else -1.
     """
-    scores = score_batch(model, head, np.asarray(x, dtype=np.float64)[None, :])[0]
+    scores = score_batch(model, head, _floats(x, "x", InputError)[None])[0]
     labels = np.where(scores > 0, 1, -1).astype(np.int64)
     return scores, labels
 

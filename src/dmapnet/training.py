@@ -27,7 +27,7 @@ import numpy as np
 from .data import LabeledDataset
 from .dkn import activation_prime, combine
 from .errors import ConfigError, InputError, NumericRangeError, TrainingDivergedError
-from .kernels import _is_whole
+from .kernels import _floats, _is_whole
 from .metrics import f_measure
 from .model import (ClassifierHead, DmnModel, as_per_class_c, check_head_width,
                     forward_batch, input_kernel_rows, walk)
@@ -103,12 +103,10 @@ def parameters(model: DmnModel) -> list:
 
 
 def _check_features_labels(F, Y):
-    F = np.asarray(F, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    F = _floats(F, "final maps", InputError)
+    Y = _floats(Y, "labels", InputError)
     if F.ndim != 2 or Y.ndim != 2 or F.shape[0] != Y.shape[0]:
         raise InputError("final maps and labels must agree on the sample count")
-    if not np.isfinite(F).all():
-        raise InputError("final maps contain non-finite values")
     if not np.isin(Y, (-1.0, 1.0)).all():
         raise InputError("labels must be exactly -1 or +1")
     return F, Y

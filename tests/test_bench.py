@@ -50,6 +50,9 @@ def test_run_bench_validation():
     for classes in (0, -1, 1.5, np.nan):
         with pytest.raises(ConfigError, match="at least one class"):
             run_bench(arch, anchors, sizes=(4,), reps=5, num_classes=classes)
+    for clip_ratio in ("x", None):
+        with pytest.raises(ConfigError, match="clip_ratio"):
+            run_bench(arch, anchors, sizes=(4,), reps=5, clip_ratio=clip_ratio)
 
 
 def test_report_tsv_layout():

@@ -60,6 +60,14 @@ def test_eigen_projection_degenerate_and_invalid():
         eigen_projection(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ConfigError):
         eigen_projection(np.eye(2), clip_ratio=-0.1)
+    # non-numbers are refused as the numbers are, not by a raw TypeError
+    anchors = AnchorSet(samples=np.eye(3))
+    arch = default_architecture(default_input_kernels(), seed=0)
+    for clip_ratio in ("x", None):
+        with pytest.raises(ConfigError, match="clip_ratio must be finite"):
+            eigen_projection(np.eye(2), clip_ratio=clip_ratio)
+        with pytest.raises(ConfigError, match="clip_ratio must be finite"):
+            build_dmn(arch, anchors, clip_ratio=clip_ratio)
 
 
 def test_eigen_projection_descending_and_reconstructive():
@@ -131,17 +139,6 @@ def test_build_dmn_reconstruction_small():
     assert len(errors) == arch.num_layers
     worst = max(max(layer) for layer in errors)
     assert worst <= 1e-6
-
-
-def test_build_dmn_log_lines():
-    rng = np.random.default_rng(32)
-    anchors = AnchorSet(samples=rng.uniform(0.0, 0.5, size=(8, 3)))
-    lines = []
-    build_dmn(helpers.toy_arch(rng), anchors, log=lines.append)
-    # one line per unit: 2 input kernels + 3 hidden + 1 output
-    assert len(lines) == 6
-    assert lines[0].startswith("layer 1 unit 1: retained ")
-    assert lines[-1].startswith("layer 3 unit 1: retained ")
 
 
 def test_build_dmn_unit_metadata():

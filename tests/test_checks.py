@@ -77,7 +77,8 @@ def test_guard_gives_up_when_nothing_works(monkeypatch):
         train_with_guard(model, head, data, cfg)
 
 
-@pytest.mark.parametrize("value", [0.0, -1e-5, float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [0.0, -1e-5, float("inf"), float("nan"),
+                                   "x", None])
 def test_gradient_check_refuses_a_step_or_tol_out_of_range(value):
     model, head, data = helpers.toy_problem(seed=60)
     with pytest.raises(ConfigError, match="step must be positive and finite"):

@@ -405,6 +405,22 @@ def test_build_more_anchors_than_samples(tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+def test_build_dmn_log_lines(tmp_path, capsys):
+    # one line per unit, bottom-up, read from the built model's clip reports:
+    # 4 input kernels + 8 hidden + 1 output
+    data_path, model_path = _small_model(tmp_path)
+    lines = capsys.readouterr().err.splitlines()[1:]
+    model, _ = load_model(model_path)
+    reports = [(l, p, unit.clip_report)
+               for l, units in enumerate(model.layers, start=1)
+               for p, unit in enumerate(units, start=1)]
+    assert len(reports) == 13
+    assert lines == [f"layer {l} unit {p}: retained {r.retained}, discarded "
+                     f"{r.discarded} (max |eig| {r.discarded_max_abs:.3e})"
+                     for l, p, r in reports] + [
+        f"wrote model (14 anchors, 3 layers) to {model_path}"]
+
+
 def test_gradcheck_command(tmp_path, capsys):
     out = tmp_path / "table.tsv"
     assert main(["gradcheck", "--out", str(out)]) == 0

@@ -51,6 +51,9 @@ def test_random_mixing_weights():
     npt.assert_allclose(w.sum(axis=1), np.ones(4), atol=1e-12)
     again = random_mixing_weights(4, 3, np.random.default_rng(0))
     assert (w == again).all()
+    for shape in ((-1, 2), (2, 0), ("x", 2)):
+        with pytest.raises(ConfigError, match="width must be an integer >= 1"):
+            random_mixing_weights(*shape, rng)
 
 
 def test_layer_spec_validation():

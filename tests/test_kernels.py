@@ -9,10 +9,12 @@ import pytest
 
 import helpers
 from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
-                     GramMatrix, InputError, KernelSpec, SyntheticSpec,
-                     default_architecture, default_input_kernels, eval_kernel,
-                     generate_synthetic, gram_matrix, load_architecture,
-                     run_bench)
+                     DmapnetError, DmnModel, GramMatrix, InputError,
+                     KernelSpec, LabeledDataset, LayerSpec, SyntheticSpec,
+                     classify, default_architecture, default_input_kernels,
+                     eigen_projection, eval_kernel, evaluate, forward_batch,
+                     generate_synthetic, gram_matrix, input_kernel_rows,
+                     load_architecture, run_bench, score_batch, svm_solve)
 from dmapnet.kernels import KERNEL_KINDS, block_rows, max_asymmetry
 
 ALL_SPECS = [
@@ -255,3 +257,64 @@ def test_library_seeds_follow_one_rule(entry, seed, tmp_path):
     call, error = SEEDED_ENTRIES[entry]
     with pytest.raises(error, match="seed must be an integer >= 0"):
         call(tmp_path, seed)
+
+
+def _array_entries():
+    """``name -> (call, valid)``: each library entry point that takes a
+    caller's float array, as a call of that one array, and a value it
+    accepts there."""
+    model, head, data = helpers.toy_problem(seed=36)
+    final = forward_batch(model, data.features)[0]
+    scores = score_batch(model, head, data.features)
+    X, Y, spec = data.features, data.labels, KernelSpec("linear")
+    return {
+        "gram_matrix X": (lambda v: gram_matrix(spec, v), X),
+        "gram_matrix Y": (lambda v: gram_matrix(spec, X, v), X),
+        "eval_kernel": (lambda v: eval_kernel(spec, v, X[0]), X[1]),
+        "GramMatrix": (GramMatrix, np.eye(3)),
+        "AnchorSet": (lambda v: AnchorSet(samples=v), X),
+        "eigen_projection": (eigen_projection, np.eye(3)),
+        "LabeledDataset features": (lambda v: LabeledDataset(v, Y), X),
+        "LabeledDataset labels": (lambda v: LabeledDataset(X, v), Y),
+        "LayerSpec": (lambda v: LayerSpec(width=2, activation="tanh",
+                                          weights=v), np.ones((2, 2))),
+        "DmnModel": (lambda v: DmnModel(layers=model.layers, arch=model.arch,
+                                        anchor_samples=v), model.anchor_samples),
+        "ClassifierHead": (lambda v: ClassifierHead(v, head.trade_offs),
+                           head.normals),
+        "input_kernel_rows": (lambda v: input_kernel_rows(model, v), X),
+        "score_batch": (lambda v: score_batch(model, head, v), X),
+        "classify": (lambda v: classify(model, head, v), X[0]),
+        "evaluate scores": (lambda v: evaluate(v, Y), scores),
+        "evaluate truth": (lambda v: evaluate(scores, v), Y),
+        "svm_solve maps": (lambda v: svm_solve(v, Y, 1.0), final),
+        "svm_solve labels": (lambda v: svm_solve(final, v, 1.0), Y),
+    }
+
+
+def _bad_arrays(rng, valid):
+    """Bad values for an array argument: non-numbers, ragged and 3-D
+    arrays, and ``valid`` with one entry, drawn by ``rng``, made NaN or inf."""
+    bad = ["x", None, {}, [["a"]], [[1], [2, 3]],
+           valid.reshape((1,) * (3 - valid.ndim) + valid.shape)]
+    for value in (np.nan, np.inf, -np.inf):
+        spoilt = valid.copy()
+        spoilt[tuple(rng.integers(0, n) for n in valid.shape)] = value
+        bad.append(spoilt)
+    return bad
+
+
+def test_library_arrays_survive_seeded_fuzz():
+    # numpy's conversion raised a raw ValueError or TypeError at most of
+    # these entry points; every array now passes through one rule, which
+    # raises the entry point's own typed error.  A call may also return:
+    # gram_matrix takes Y=None as Y=X.
+    rng = np.random.default_rng(37)
+    entries = _array_entries()
+    for _ in range(3):
+        for call, valid in entries.values():
+            for value in _bad_arrays(rng, valid):
+                try:
+                    call(value)
+                except DmapnetError:
+                    pass

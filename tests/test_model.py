@@ -176,6 +176,16 @@ def test_head_validation():
     assert head.trade_offs.tolist() == [1.0, 3.0]
     with pytest.raises(ConfigError, match="one trade-off per class"):
         ClassifierHead.random(3, 4, trade_off=[1.0, 2.0])
+    # non-numbers and non-counts are refused as the numbers are, not by a
+    # raw TypeError or ValueError
+    for args, message in ((dict(scale="x"), "scale"),
+                          (dict(num_classes=2.5), "num_classes"),
+                          (dict(num_classes=-1), "num_classes"),
+                          (dict(width="x"), "width")):
+        with pytest.raises(ConfigError, match=message):
+            ClassifierHead.random(**{"num_classes": 2, "width": 3, **args})
+    with pytest.raises(ConfigError, match="trade-offs must be numbers"):
+        ClassifierHead(np.ones((2, 3)), "x")
 
 
 def test_save_load_round_trip_bitwise(tmp_path):
@@ -397,6 +407,18 @@ def _nan_anchor_sample(model):
     model.anchor_samples[2, 1] = np.nan
 
 
+def _with_entry(value):
+    def change(mat):
+        mat = mat.copy()
+        mat[0, 0] = value
+        return mat
+    return change
+
+
+def _nan_mixing_weight(model):
+    model.arch.layers[0].weights[1, 0] = np.nan
+
+
 def test_model_anchor_ids_follow_the_file_rule(tmp_path):
     # the ids a model holds are the ids its file can record, so a model
     # that saves is a model that loads
@@ -422,10 +444,16 @@ def test_model_anchor_ids_follow_the_file_rule(tmp_path):
     (_clip_report_keeps_one_more,
      "layer 2, unit 1: clip report keeps 5 of 6 eigenvalues, drops 2; width 4"),
     (_nan_anchor_sample, "anchor samples must be finite"),
+    (helpers.replacing(1, 2, "projection", _with_entry(np.nan)),
+     "layer 2, unit 3: projection must be finite"),
+    (helpers.replacing(0, 1, "anchors", _with_entry(np.inf)),
+     "layer 1, unit 2: anchors must be finite"),
+    (_nan_mixing_weight, "layer 2: mixing weights must be finite"),
 ], ids=["upper-anchors-lost-a-column", "upper-anchors-extra-column",
         "lower-width-changed", "input-anchors-wrong-width",
         "rows-unlike-anchor-count", "final-anchors-not-empty",
-        "clip-report-unlike-width", "nan-anchor-sample"])
+        "clip-report-unlike-width", "nan-anchor-sample", "nan-projection",
+        "inf-anchor-map", "nan-mixing-weight"])
 def test_cross_layer_shapes_are_checked(tmp_path, edit, where):
     model, _, _ = helpers.toy_problem(seed=30)
     edit(model)
@@ -468,6 +496,32 @@ def test_load_refuses_a_non_finite_anchor_sample(tmp_path, capsys):
     assert main(["eval", "--model", str(path), "--data", str(data_path),
                  "--out", str(tmp_path / "report.json")]) == 1
     assert "error: inconsistent model file: anchor samples" in capsys.readouterr().err
+
+
+def test_load_refuses_a_non_finite_projection(tmp_path, capsys):
+    # such a file used to load, and its first score failed numerically
+    model, head, data = helpers.toy_problem(seed=35)
+    path = tmp_path / "model.bin"
+    save_model(model, head, path)
+    matrices = _model_matrices(model, head)
+    at = next(i for i, mat in enumerate(matrices)
+              if mat is model.layers[1][0].projection)
+    raw = bytearray(path.read_bytes()[:-32])
+    header_at = len(MODEL_MAGIC) + 4
+    entry = (header_at + 4 + int.from_bytes(raw[header_at:header_at + 4], "little")
+             + 8 * sum(mat.size for mat in matrices[:at]))
+    raw[entry:entry + 8] = np.float64(np.nan).tobytes()  # projection (1, 1)
+    path.write_bytes(bytes(raw) + hashlib.sha256(raw).digest())
+    with pytest.raises(FormatError, match="inconsistent model file: layer 2, "
+                                          "unit 1: projection must be finite"):
+        load_model(path)
+    data_path = tmp_path / "data.tsv"
+    save_dataset(data, data_path)
+    for command in (["eval"], ["train", "--c", "1"]):
+        assert main([*command, "--model", str(path), "--data", str(data_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert ("error: inconsistent model file: layer 2, unit 1: projection"
+                in capsys.readouterr().err)
 
 
 def test_load_rejects_trailing_bytes(tmp_path):

@@ -97,6 +97,9 @@ def test_solver_input_validation():
         svm_solve(F, np.ones((3, 1)), 1.0)
     with pytest.raises(ConfigError):
         svm_solve(F, np.array([[1.0], [-1.0]]), -1.0)
+    for c_policy in ("x", ["x"], {}):
+        with pytest.raises(ConfigError, match="trade-offs must be numbers"):
+            svm_solve(F, np.array([[1.0], [-1.0]]), c_policy)
 
 
 def test_as_per_class_c():
@@ -540,5 +543,7 @@ def test_cross_validation_edge_cases():
         cross_validate_C(data, model, folds=2, grid=(-1.0,))
     with pytest.raises(ConfigError):
         cross_validate_C(data, model, folds=2, grid=(1.0, np.inf))
+    with pytest.raises(ConfigError, match="trade-offs must be numbers"):
+        cross_validate_C(data, model, folds=2, grid=["x"])
     with pytest.raises(ConfigError):
         cross_validate_C(data, model, folds=10, grid=(1.0,))
