@@ -307,16 +307,16 @@ def dkn_classify(arch: DknArchitecture, support, dual_coef, bias, x) -> np.ndarr
     Evaluates the network kernel against every support sample, so the cost
     grows linearly with the number of supports.
     """
-    support = np.asarray(support, dtype=np.float64)
+    support = _floats(support, "support", InputError)
     if support.ndim != 2 or support.shape[0] == 0:
         raise InputError("support must be a nonempty 2-D sample array")
-    dual_coef = np.asarray(dual_coef, dtype=np.float64)
+    dual_coef = _floats(dual_coef, "dual_coef", InputError)
     if dual_coef.ndim != 2 or dual_coef.shape[1] != support.shape[0]:
         raise InputError(
             f"dual_coef must have shape (classes, {support.shape[0]}), "
             f"got {dual_coef.shape}"
         )
-    bias = np.asarray(bias, dtype=np.float64)
+    bias = _floats(bias, "bias", InputError)
     if bias.shape != (dual_coef.shape[0],):
         raise InputError(
             f"bias must have shape ({dual_coef.shape[0]},), got {bias.shape}"

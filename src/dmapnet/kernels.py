@@ -9,6 +9,9 @@ case of the same core, so a full gram matrix and per-pair evaluations
 perform identical arithmetic, entry for entry.  Entry (i, j) sees the same
 operations as entry (j, i), so a gram over one sample set is exactly
 symmetric.
+
+The network walks of ``model`` and ``training`` take their row blocks, of
+about ``WALK_BYTES``, from ``walk_blocks``.
 """
 
 from __future__ import annotations
@@ -33,10 +36,28 @@ KERNEL_KINDS = (LINEAR, POLYNOMIAL, RBF, HISTOGRAM_INTERSECTION)
 # slower.
 BLOCK_BYTES = 1 << 18
 
+# A batch walks the network in row blocks whose samples x anchors matrix
+# holds at most this many bytes, so what a walk holds is bounded by the
+# block and not by the batch.  A block holds up to 262 rows at 1000 anchors
+# and 2621 at 100, so a 256-row batch at 1000 anchors is one block.
+WALK_BYTES = 1 << 21
+
 
 def block_rows(columns: int) -> int:
     """Rows per block of a float64 array with ``columns`` columns."""
     return max(1, BLOCK_BYTES // (8 * max(1, columns)))
+
+
+def walk_blocks(rows: int, anchors: int) -> list:
+    """The row blocks, as slices in order, of a walk of ``rows`` samples
+    over ``anchors`` anchors: as few blocks as fit in ``WALK_BYTES``, of
+    equal size but for the last, so one slice of every row when they fit.
+    Training walks all blocks but the last twice, so none is much larger
+    than the others."""
+    most = max(1, WALK_BYTES // (8 * max(1, anchors)))
+    count = max(1, -(-rows // most))
+    step = max(1, -(-rows // count))
+    return [slice(lo, min(rows, lo + step)) for lo in range(0, rows, step)]
 
 
 def max_asymmetry(values) -> float:

@@ -13,10 +13,14 @@ each lower unit's map ``phi_q`` with that unit's anchors ``M_q``,
 activated with its layer's activation and times its projection.
 Inference therefore never touches any training set, only the fixed anchor
 matrices.  One walk maps samples up from layer 1, whose activations are
-the kernel rows: ``forward_batch`` keeps only its maps, and training keeps
-the activations too, for backprop.  The ``ClipReport`` each unit stores
-is defined here beside it; building, saving and loading check a model by
-one rule, so a model that saves is a model that loads.
+the kernel rows.  A batch goes through it in the row blocks of
+``kernels.walk_blocks``, so beyond its result a call holds one block's
+kernel rows, activations and maps: ``forward_batch`` keeps every map of
+the batch, ``score_batch`` only the scores and ``final_maps`` only the
+last unit's maps, and training keeps a block's activations too, for
+backprop.  The ``ClipReport`` each unit stores is defined here beside it;
+building, saving and loading check a model by one rule, so a model that
+saves is a model that loads.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dkn import DknArchitecture, LayerSpec, activate, check_finite, combine
-from .errors import ConfigError, FormatError, InputError, VersionError
+from .errors import ConfigError, FormatError, InputError, VersionError, drawing
 from .fileio import atomic_write_bytes
 from .kernels import (KernelSpec, _as_samples, _floats, _is_whole, _seed,
-                      gram_matrix)
+                      gram_matrix, walk_blocks)
 
 MODEL_MAGIC = b"DMAPMDL\x00"
 MODEL_VERSION = 3
@@ -69,8 +73,8 @@ class DmnUnit:
     clip_report: ClipReport
 
     def __post_init__(self):
-        self.anchors = np.asarray(self.anchors, dtype=np.float64)
-        self.projection = np.asarray(self.projection, dtype=np.float64)
+        self.anchors = _floats(self.anchors, "anchors", ConfigError)
+        self.projection = _floats(self.projection, "projection", ConfigError)
         if self.anchors.ndim != 2 or self.projection.ndim != 2:
             raise ConfigError("anchors and projection must be 2-D")
         if self.anchors.shape[0] != self.projection.shape[0]:
@@ -80,7 +84,8 @@ class DmnUnit:
 
     @property
     def width(self) -> int:
-        return self.projection.shape[1]
+        # np.shape, as the model rule reads a projection replaced by a list
+        return np.shape(self.projection)[1]
 
 
 def anchor_id_tuple(ids, count: int) -> tuple:
@@ -155,25 +160,29 @@ def _check_model(model: DmnModel) -> None:
                 f"layer {l + 1} has {len(units)} units, expected {widths[l]}"
             )
         for p, unit in enumerate(units):
-            for name in ("anchors", "projection"):
-                _floats(getattr(unit, name), f"layer {l + 1}, unit {p + 1}: {name}",
-                        ConfigError)
-            if unit.anchors.shape[0] != n or unit.projection.shape[0] != n:
+            where = f"layer {l + 1}, unit {p + 1}"
+            anchors, projection = (
+                _floats(getattr(unit, name), f"{where}: {name}", ConfigError)
+                for name in ("anchors", "projection"))
+            if anchors.ndim != 2 or projection.ndim != 2:
+                raise ConfigError(f"{where}: anchors and projection must be 2-D")
+            if anchors.shape[0] != n or projection.shape[0] != n:
                 raise ConfigError(
-                    f"layer {l + 1}, unit {p + 1}: anchors and projection "
+                    f"{where}: anchors and projection "
                     f"must have one row per anchor sample ({n})"
                 )
-            expected = 0 if l == len(widths) - 1 else unit.width
-            if unit.anchors.shape[1] != expected:
+            width = projection.shape[1]
+            expected = 0 if l == len(widths) - 1 else width
+            if anchors.shape[1] != expected:
                 raise ConfigError(
-                    f"layer {l + 1}, unit {p + 1}: anchors have "
-                    f"{unit.anchors.shape[1]} columns, expected {expected}"
+                    f"{where}: anchors have "
+                    f"{anchors.shape[1]} columns, expected {expected}"
                 )
             kept, drop = unit.clip_report.retained, unit.clip_report.discarded
-            if kept != unit.width or kept + drop != n:
-                raise ConfigError(f"layer {l + 1}, unit {p + 1}: clip report keeps "
+            if kept != width or kept + drop != n:
+                raise ConfigError(f"{where}: clip report keeps "
                                   f"{kept} of {n} eigenvalues, drops {drop}; "
-                                  f"width {unit.width}")
+                                  f"width {width}")
 
 
 def as_per_class_c(c_policy, num_classes: int) -> np.ndarray:
@@ -222,8 +231,9 @@ class ClassifierHead:
         if not isinstance(scale, numbers.Real):
             raise ConfigError(f"scale must be a number, got {scale!r}")
         rng = np.random.default_rng(_seed(seed, ConfigError))
-        return cls(scale * rng.standard_normal((int(num_classes), int(width))),
-                   trade_off)
+        with drawing(f"a {num_classes} x {width} head"):
+            normals = rng.standard_normal((int(num_classes), int(width)))
+        return cls(scale * normals, trade_off)
 
 
 def input_kernel_rows(model: DmnModel, X) -> list:
@@ -251,9 +261,12 @@ def walk(model: DmnModel, kernel_rows):
     times the unit's projection.  The walk keeps no activation it has
     yielded, and it keeps a layer's maps only until the layer above has
     combined them, so a caller that drops what it does not need holds
-    nothing more.  Overflow is computed silently, but never while the walk
-    is suspended; a non-finite map raises NumericRangeError naming its
-    layer and unit, as does ``activate`` for a non-finite sum.
+    nothing more: at most one layer's activations, one lower unit's
+    product with its anchors and one weighted copy of it, all as many rows
+    as ``kernel_rows``, which ``forward_batch``, ``final_maps``,
+    ``score_batch`` and training keep to one row block of ``walk_blocks``.  Overflow is computed silently, but never
+    while the walk is suspended; a non-finite map raises NumericRangeError
+    naming its layer and unit, as does ``activate`` for a non-finite sum.
     """
     hs = list(kernel_rows)
     del kernel_rows  # hs alone holds the rows here, each until it is yielded
@@ -273,19 +286,73 @@ def walk(model: DmnModel, kernel_rows):
             yield i, hs.pop(0), maps[-1]
 
 
+def put_rows(out, rows: slice, part: np.ndarray, n: int) -> np.ndarray:
+    """An ``n``-row result with ``part`` as its rows ``rows``: ``part``
+    itself when it holds all ``n`` rows, else ``out`` written in place,
+    allocated on the first block when ``out`` is None."""
+    if part.shape[0] == n:
+        return part
+    if out is None:
+        out = np.empty((n,) + part.shape[1:])
+    out[rows] = part
+    return out
+
+
+def _last_map(units) -> np.ndarray:
+    """The last unit's map of a walk, dropping every activation as it
+    comes."""
+    for _, h, phi in units:
+        del h
+    return phi
+
+
+def _block_walks(model: DmnModel, X: np.ndarray):
+    """``(rows, walk)`` for each walk block of the sample array ``X``: the
+    block's slice and the walk of its kernel rows, made when the block is
+    reached and held by the walk alone."""
+    for rows in walk_blocks(X.shape[0], model.anchor_count):
+        yield rows, walk(model, input_kernel_rows(model, X[rows]))
+
+
 def forward_batch(model: DmnModel, X) -> tuple:
     """Map a batch of samples through every unit.
 
     Returns ``(final_maps, maps)``: the output of the last layer's one unit
-    and, per layer, every unit's map (samples x unit width).  Each unit's
-    activation goes as soon as its map exists; training keeps them in its
-    own trace for backprop.
+    and, per layer, every unit's map (samples x unit width).  The batch
+    walks in row blocks.  A batch of one block returns the walk's own
+    maps; a larger one fills maps allocated before its first block, so
+    each block's arrays are freed above them and can go back to the
+    system.  Each activation goes as soon as its map exists, so beyond the
+    maps the call holds one block's walk.
     """
-    maps = [[] for _ in model.layers]
-    for i, h, phi in walk(model, input_kernel_rows(model, X)):
-        del h  # the activation goes now that its map exists
-        maps[i].append(phi)
+    X = _as_samples(X, "X")
+    n = X.shape[0]
+    slots = [(i, p) for i, units in enumerate(model.layers)
+             for p in range(len(units))]
+    maps = [[None] * len(units) for units in model.layers]
+    if len(walk_blocks(n, model.anchor_count)) > 1:
+        # allocating each map at its unit's first block left the freed
+        # blocks resident between maps: serve-1000's set-up peaked 12 MB
+        # higher on glibc
+        for i, p in slots:
+            maps[i][p] = np.empty((n, model.layers[i][p].width))
+    for rows, units in _block_walks(model, X):
+        slot = iter(slots)
+        for _, h, phi in units:
+            del h  # the activation goes now that its map exists
+            i, p = next(slot)
+            maps[i][p] = put_rows(maps[i][p], rows, phi, n)
     return maps[-1][0], maps
+
+
+def final_maps(model: DmnModel, X) -> np.ndarray:
+    """The last unit's maps of a batch, as ``forward_batch`` gives them,
+    holding beyond them one block's walk and no lower layer's maps."""
+    X = _as_samples(X, "X")
+    final = None
+    for rows, units in _block_walks(model, X):
+        final = put_rows(final, rows, _last_map(units), X.shape[0])
+    return final
 
 
 def check_head_width(model: DmnModel, head: ClassifierHead) -> None:
@@ -296,10 +363,18 @@ def check_head_width(model: DmnModel, head: ClassifierHead) -> None:
 
 
 def score_batch(model: DmnModel, head: ClassifierHead, X) -> np.ndarray:
-    """Scores for a batch of samples, one row per sample."""
+    """Scores for a batch of samples, one row per sample.
+
+    The batch walks in row blocks and keeps each block's scores only, so
+    beyond the scores a call holds one block's walk.
+    """
     check_head_width(model, head)
-    final, _ = forward_batch(model, X)
-    return final @ head.normals.T
+    X = _as_samples(X, "X")
+    scores = None
+    for rows, units in _block_walks(model, X):
+        scores = put_rows(scores, rows, _last_map(units) @ head.normals.T,
+                          X.shape[0])
+    return scores
 
 
 def classify(model: DmnModel, head: ClassifierHead, x) -> tuple:
@@ -415,6 +490,16 @@ class _PayloadReader:
             ) from err
 
 
+def _unit_for_model(anchors, projection, clip_report) -> DmnUnit:
+    """A unit made without ``DmnUnit``'s own check, for building and
+    loading, which hand it to ``DmnModel`` next: the model rule checks all
+    the same and names the layer and unit, so each unit matrix is read for
+    finiteness once."""
+    unit = object.__new__(DmnUnit)
+    unit.anchors, unit.projection, unit.clip_report = anchors, projection, clip_report
+    return unit
+
+
 def load_model(path) -> tuple:
     """Read a model container; returns ``(model, head_or_None)``.
 
@@ -501,8 +586,8 @@ def load_model(path) -> tuple:
         for l, metas in enumerate(unit_meta):
             last = l == len(unit_meta) - 1
             unit_layers.append([
-                DmnUnit(anchors=reader.take((n, 0 if last else width)),
-                        projection=reader.take((n, width)), clip_report=clip)
+                _unit_for_model(reader.take((n, 0 if last else width)),
+                                reader.take((n, width)), clip)
                 for width, clip in metas])
         model = DmnModel(layers=unit_layers, arch=arch,
                          anchor_samples=anchor_samples, anchor_ids=anchor_ids)

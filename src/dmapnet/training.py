@@ -12,7 +12,9 @@ never increases.
 gradients in its order, ``apply_gradients`` steps along it, the guard
 snapshots it and the gradient check names its rows after it.  Each
 evaluation walks the model once through ``forward_trace``, the one forward
-pass that keeps the activations ``backprop`` reads.
+pass that keeps the activations ``backprop`` reads, a row block of
+``kernels.walk_blocks`` at a time.  Given fixed normals every gradient is a
+sum over samples, so a batch of several blocks sums the blocks' gradients.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import numpy as np
 from .data import LabeledDataset
 from .dkn import activation_prime, combine
 from .errors import ConfigError, InputError, NumericRangeError, TrainingDivergedError
-from .kernels import _floats, _is_whole
+from .kernels import _floats, _is_whole, walk_blocks
 from .metrics import f_measure
 from .model import (ClassifierHead, DmnModel, as_per_class_c, check_head_width,
-                    forward_batch, input_kernel_rows, walk)
+                    final_maps, input_kernel_rows, put_rows, walk)
 
 CONVERGENCE_WINDOW = 10
 NEWTON_TOL_SCALE = 1e-6
@@ -199,7 +201,11 @@ class BatchTrace:
 def forward_trace(model: DmnModel, kernel_rows) -> BatchTrace:
     """The forward walk from the samples' kernel rows (``input_kernel_rows``,
     which the caller may keep and pass again), keeping every activation and
-    map for ``backprop``.  The maps are those ``forward_batch`` returns."""
+    map for ``backprop``.  The maps are those ``forward_batch`` returns.
+
+    The trace holds every unit's activation (samples x anchors) and map
+    for as many rows as ``kernel_rows`` has, so training traces one row
+    block of ``walk_blocks`` at a time."""
     trace = BatchTrace(h=[[] for _ in model.layers], out=[[] for _ in model.layers])
     for i, h, phi in walk(model, kernel_rows):
         trace.h[i].append(h)
@@ -218,7 +224,7 @@ def _objective_terms(omega, F, Y, C):
 
 def objective(model: DmnModel, head: ClassifierHead, data: LabeledDataset) -> float:
     """Squared-hinge objective of the head over the model's final maps."""
-    final = forward_batch(model, data.features)[0]  # the lower maps go at once
+    final = final_maps(model, data.features)
     C = as_per_class_c(head.trade_offs, data.num_classes)
     return _objective_terms(head.normals, final, data.labels, C)[0]
 
@@ -242,10 +248,12 @@ def backprop(model: DmnModel, batch: BatchTrace, output_grads) -> list:
     refers to; its activations and maps are read as they are, and none is
     recomputed.  Beyond the trace and the gradients, the walk holds one
     layer's activation gradients ``ds`` and, taking the units below one at
-    a time, one unit's product with its anchors or its share of ``ds``.
-    A non-finite gradient raises ``NumericRangeError`` naming its parameter.
+    a time, one unit's product with its anchors or its share of ``ds``,
+    each as many rows as the trace, which training keeps to one row block.
+    ``output_grads`` must be finite numbers (``InputError``); a non-finite
+    gradient raises ``NumericRangeError`` naming its parameter.
     """
-    G = np.asarray(output_grads, dtype=np.float64)
+    G = _floats(output_grads, "output gradients", InputError)
     n = batch.num_samples
     if G.shape != (n, model.final_width):
         raise InputError(
@@ -328,6 +336,16 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
     evaluation is not finite; it carries the last accepted model, head and
     history.  Between steps the loop holds one trace, one set of gradients
     and one snapshot, and lets each go before its replacement is made.
+
+    An evaluation walks the training rows in the row blocks of
+    ``walk_blocks``, from kernel rows computed once, and keeps the final
+    maps of every row for the class solve and the objective but the trace
+    of the last block only.  When the rows fit in one block, that trace is
+    the whole batch's and backprop reads it; otherwise an accepted
+    iteration walks the other blocks again, one trace at a time, and sums
+    the blocks' gradients.  So beyond the cached kernel rows (one samples x
+    anchors matrix per input unit), the final maps and the parameter-sized
+    gradients and snapshot, the loop holds one block's trace and backprop.
     """
     if data.num_classes != head.num_classes:
         raise ConfigError("head classes must match the dataset classes")
@@ -340,6 +358,11 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
     X = data.features
     Y = data.labels
     kernel_rows = input_kernel_rows(model, X)
+    blocks = walk_blocks(data.num_samples, model.anchor_count)
+
+    def block_trace(rows):
+        return forward_trace(model, [r[rows] for r in kernel_rows])
+
     eta = cfg.learning_rate
     history = []
     halvings = 0
@@ -350,9 +373,11 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
             # overflow surfaces as a non-finite objective or as one of the
             # errors below, and either way rejects the evaluation
             with np.errstate(over="ignore", invalid="ignore"):
-                trace = None  # the last trace goes before the next is made
-                trace = forward_trace(model, kernel_rows)
-                final = trace.final
+                final = None
+                for rows in blocks:
+                    trace = None  # the last trace goes before the next is made
+                    trace = block_trace(rows)
+                    final = put_rows(final, rows, trace.final, data.num_samples)
                 omega = svm_solve(final, Y, C, initial=head.normals)
                 total, hinge, reg, d_final = _objective_terms(omega, final, Y, C)
             if not np.isfinite(total):
@@ -391,7 +416,13 @@ def train_with_guard(model: DmnModel, head: ClassifierHead, data: LabeledDataset
         if not done:
             try:
                 grads = None  # the last gradients go before the next are made
-                grads = backprop(model, trace, d_final)
+                grads = backprop(model, trace, d_final[blocks[-1]])
+                trace = None
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for rows in blocks[:-1]:  # the other blocks walk again
+                        for grad, part in zip(grads, backprop(
+                                model, block_trace(rows), d_final[rows])):
+                            grad += part
             except NumericRangeError as err:
                 # taken at the accepted parameters, so no rate can help
                 raise TrainingDivergedError(
@@ -430,7 +461,7 @@ def cross_validate_C(data: LabeledDataset, model: DmnModel,
     grid = sorted(set(as_per_class_c(grid, len(grid)).tolist()))
     if not grid:
         raise ConfigError("grid must hold at least one trade-off")
-    final = forward_batch(model, data.features)[0]  # the lower maps go at once
+    final = final_maps(model, data.features)
     Y = data.labels
     n, K = Y.shape
     fold_of = np.arange(n) % folds

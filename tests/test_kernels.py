@@ -9,12 +9,14 @@ import pytest
 
 import helpers
 from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
-                     DmapnetError, DmnModel, GramMatrix, InputError,
+                     DmapnetError, DmnModel, DmnUnit, GramMatrix, InputError,
                      KernelSpec, LabeledDataset, LayerSpec, SyntheticSpec,
-                     classify, default_architecture, default_input_kernels,
-                     eigen_projection, eval_kernel, evaluate, forward_batch,
-                     generate_synthetic, gram_matrix, input_kernel_rows,
-                     load_architecture, run_bench, score_batch, svm_solve)
+                     backprop, classify, default_architecture,
+                     default_input_kernels, dkn_classify, eigen_projection,
+                     eval_kernel, evaluate, forward_batch, forward_trace,
+                     generate_synthetic, grad_output, gram_matrix,
+                     input_kernel_rows, load_architecture, run_bench,
+                     score_batch, svm_solve)
 from dmapnet.kernels import KERNEL_KINDS, block_rows, max_asymmetry
 
 ALL_SPECS = [
@@ -267,6 +269,10 @@ def _array_entries():
     final = forward_batch(model, data.features)[0]
     scores = score_batch(model, head, data.features)
     X, Y, spec = data.features, data.labels, KernelSpec("linear")
+    trace = forward_trace(model, input_kernel_rows(model, X))
+    out_grads = grad_output(head, trace.final, Y)
+    coef, bias = np.ones((2, 3)), np.zeros(2)
+    unit = model.layers[0][0]
     return {
         "gram_matrix X": (lambda v: gram_matrix(spec, v), X),
         "gram_matrix Y": (lambda v: gram_matrix(spec, X, v), X),
@@ -289,6 +295,17 @@ def _array_entries():
         "evaluate truth": (lambda v: evaluate(scores, v), Y),
         "svm_solve maps": (lambda v: svm_solve(v, Y, 1.0), final),
         "svm_solve labels": (lambda v: svm_solve(final, v, 1.0), Y),
+        "dkn_classify support": (
+            lambda v: dkn_classify(model.arch, v, coef, bias, X[0]), X[:3]),
+        "dkn_classify dual_coef": (
+            lambda v: dkn_classify(model.arch, X[:3], v, bias, X[0]), coef),
+        "dkn_classify bias": (
+            lambda v: dkn_classify(model.arch, X[:3], coef, v, X[0]), bias),
+        "backprop output_grads": (lambda v: backprop(model, trace, v), out_grads),
+        "DmnUnit anchors": (lambda v: DmnUnit(v, unit.projection, unit.clip_report),
+                            unit.anchors),
+        "DmnUnit projection": (lambda v: DmnUnit(unit.anchors, v, unit.clip_report),
+                               unit.projection),
     }
 
 

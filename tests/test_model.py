@@ -17,6 +17,8 @@ from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
                      default_input_kernels, forward_batch, load_model,
                      random_mixing_weights, save_dataset, save_model,
                      score_batch)
+from dmapnet import kernels
+from dmapnet import model as model_module
 from dmapnet.cli import main
 from dmapnet.model import (MODEL_MAGIC, MODEL_VERSION, _model_matrices,
                            input_kernel_rows, walk)
@@ -98,6 +100,47 @@ def test_forward_batch_holds_one_lower_product_at_a_time():
     assert peak < 14 * gram
     assert held < 8 * gram
     assert held >= sum(phi.nbytes for layer in maps for phi in layer)
+
+
+def _relative_gap(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_row_blocks_give_one_blocks_maps_and_scores(monkeypatch):
+    # a batch of several row blocks sums each row through the same walk,
+    # so only the products' summation order can differ from one block
+    model, head, data = helpers.toy_problem(seed=70, n=20)
+    X = data.features
+    _, one_maps = forward_batch(model, X)
+    one_scores = score_batch(model, head, X)
+    monkeypatch.setattr(kernels, "WALK_BYTES", 3 * model.anchor_count * 8)
+    assert len(kernels.walk_blocks(len(X), model.anchor_count)) == 7
+    final, maps = forward_batch(model, X)
+    assert final is maps[-1][0]
+    for blocked, one in zip(sum(maps, []), sum(one_maps, []), strict=True):
+        assert blocked.shape == one.shape
+        assert _relative_gap(blocked, one) <= 1e-12
+    assert _relative_gap(score_batch(model, head, X), one_scores) <= 1e-12
+
+
+def test_score_batch_holds_one_block_beyond_its_scores(monkeypatch):
+    # each row block's walk goes before the next block's starts; walking
+    # the whole batch at once peaked at 99 block sizes here
+    rng = np.random.default_rng(28)
+    model = build_dmn(default_architecture(default_input_kernels(), seed=28),
+                      AnchorSet(samples=rng.random((200, 10))))
+    head = ClassifierHead.random(5, model.final_width, seed=28)
+    block = 64 * model.anchor_count * 8
+    monkeypatch.setattr(kernels, "WALK_BYTES", block)
+    X = rng.random((8 * 64, 10))
+    tracemalloc.start()
+    try:
+        scores = score_batch(model, head, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (len(X), 5)
+    assert peak < 16 * block + scores.nbytes
 
 
 def test_classify_sign_convention():
@@ -186,6 +229,9 @@ def test_head_validation():
             ClassifierHead.random(**{"num_classes": 2, "width": 3, **args})
     with pytest.raises(ConfigError, match="trade-offs must be numbers"):
         ClassifierHead(np.ones((2, 3)), "x")
+    # numpy refuses a head it cannot hold before allocating it
+    with pytest.raises(ConfigError, match="cannot draw"):
+        ClassifierHead.random(10**15, 3)
 
 
 def test_save_load_round_trip_bitwise(tmp_path):
@@ -227,6 +273,46 @@ def test_save_load_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "model2.bin"
     save_model(loaded, loaded_head, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_unit_matrices_replaced_by_lists_follow_the_model_rule(tmp_path):
+    # the rule reads a unit's shapes from its converted matrices, so a list
+    # saves as the array it holds, and a list of the wrong shape is refused
+    model, head, _ = helpers.toy_problem(seed=71)
+    unit = model.layers[1][0]
+    projection = unit.projection
+    unit.projection = projection.tolist()
+    path = tmp_path / "model.bin"
+    save_model(model, head, path)
+    loaded, _ = load_model(path)
+    assert (loaded.layers[1][0].projection == projection).all()
+    unit.projection = projection[:, :-1].tolist()
+    with pytest.raises(ConfigError, match="layer 2, unit 1"):
+        save_model(model, head, tmp_path / "wrong.bin")
+    unit.projection = projection[0].tolist()
+    with pytest.raises(ConfigError, match="layer 2, unit 1: anchors and "
+                                          "projection must be 2-D"):
+        save_model(model, head, tmp_path / "wrong.bin")
+
+
+def test_build_and_load_read_each_unit_matrix_for_finiteness_once(
+        tmp_path, monkeypatch):
+    model, head, _ = helpers.toy_problem(seed=72)
+    path = tmp_path / "model.bin"
+    save_model(model, head, path)
+    checked = []
+
+    def counted(value, what, error):
+        checked.append(what)
+        return kernels._floats(value, what, error)
+
+    monkeypatch.setattr(model_module, "_floats", counted)
+    for make in (lambda: load_model(path), lambda: helpers.toy_model(seed=72)):
+        checked.clear()
+        make()
+        units = [what for what in checked
+                 if what.endswith(("anchors", "projection"))]
+        assert len(units) == len(set(units)) == 2 * sum(model.arch.widths)
 
 
 def test_save_load_without_head(tmp_path):

@@ -15,6 +15,7 @@ from dmapnet import (AnchorSet, ClassifierHead, ConfigError, InputError,
                      format_history, generate_synthetic, grad_output,
                      input_kernel_rows, objective, svm_solve, train,
                      train_with_guard)
+from dmapnet import kernels
 from dmapnet.training import (CONVERGENCE_WINDOW, apply_gradients,
                               as_per_class_c, parameters)
 
@@ -185,7 +186,12 @@ def test_backprop_names_the_non_finite_parameter():
     model, head, data = helpers.toy_problem(seed=48)
     trace = _trace(model, data)
     out_grads = grad_output(head, trace.final, data.labels)
+    # a non-finite output gradient is the caller's error; the largest
+    # finite one overflows inside backprop
     out_grads[0, 0] = np.inf
+    with pytest.raises(InputError, match="output gradients must be finite"):
+        backprop(model, trace, out_grads)
+    out_grads[0, 0] = np.finfo(np.float64).max
     name = r"[UA]\[layer \d+\]\[unit \d+\]"
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericRangeError, match=f"non-finite gradient of {name}"):
@@ -243,6 +249,68 @@ def test_train_with_guard_holds_one_trace_at_a_time(criterion_3_problem):
         tracemalloc.stop()
     assert len(history) == 4
     assert peak < 52 * gram
+
+
+def _first_step(model, head, data, monkeypatch):
+    """The first objective and the gradients of one guarded iteration."""
+    import dmapnet.training as training
+
+    steps = []
+
+    def recorded(model, grads, eta):
+        steps.append([grad.copy() for grad in grads])
+        apply_gradients(model, grads, eta)
+
+    monkeypatch.setattr(training, "apply_gradients", recorded)
+    cfg = TrainConfig(learning_rate=1e-7, max_iters=2, c_policy=1.0,
+                      convergence_tol=0.0)
+    history = train_with_guard(model, head, data, cfg)[2]
+    return history[0].objective, steps[0]
+
+
+def test_row_blocks_give_one_blocks_objective_choice_and_gradients(monkeypatch):
+    # given fixed normals every gradient is a sum over samples, so blocks'
+    # gradients add up to the batch's, up to the order of the sums
+    model, head, data = helpers.toy_problem(seed=73, n=20)
+    one = (objective(model, head, data), cross_validate_C(data, model, folds=3),
+           _first_step(model, head, data, monkeypatch))
+    monkeypatch.setattr(kernels, "WALK_BYTES", 3 * model.anchor_count * 8)
+    assert len(kernels.walk_blocks(data.num_samples, model.anchor_count)) == 7
+    npt.assert_allclose(objective(model, head, data), one[0], rtol=1e-12)
+    assert (cross_validate_C(data, model, folds=3) == one[1]).all()
+    first, grads = _first_step(model, head, data, monkeypatch)
+    npt.assert_allclose(first, one[2][0], rtol=1e-12)
+    for (name, _, _), blocked, whole in zip(parameters(model), grads, one[2][1],
+                                            strict=True):
+        gap = np.max(np.abs(blocked - whole), initial=0.0)
+        assert gap <= 1e-12 * np.max(np.abs(whole), initial=0.0), name
+
+
+def test_train_with_guard_holds_one_block_beyond_its_kernel_rows(monkeypatch):
+    # n = 3000, m = 100, clip 1e-4, in 300-row blocks: beyond the cached
+    # kernel rows, one iteration holds one block's trace and backprop, the
+    # final maps and the solver's copies of them, and parameter-sized
+    # snapshots; holding the whole batch's trace peaked at 300 block sizes
+    data = generate_synthetic(SyntheticSpec(num_samples=3000, num_features=10,
+                                            num_classes=5, noise=0.1, seed=7))
+    m = 100
+    model = build_dmn(default_architecture(default_input_kernels(), seed=7),
+                      AnchorSet(samples=data.features[:m]), clip_ratio=1e-4)
+    head = ClassifierHead.random(5, model.final_width, seed=7)
+    block = 300 * m * 8
+    monkeypatch.setattr(kernels, "WALK_BYTES", block)
+    kernel_rows = len(model.arch.input_kernels) * data.num_samples * m * 8
+    final = data.num_samples * model.final_width * 8
+    params = sum(getattr(o, a).nbytes for _, o, a in parameters(model))
+    cfg = TrainConfig(learning_rate=1e-6, max_iters=2, convergence_tol=0.0)
+    tracemalloc.start()
+    try:
+        history = train_with_guard(model, head, data, cfg)[2]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(history) == 2
+    assert peak < kernel_rows + 30 * block + 3 * final + 4 * params
 
 
 def test_non_finite_gradient_ends_training_with_the_accepted_state(monkeypatch):
