@@ -22,8 +22,8 @@ from .dkn import DknArchitecture, EXP, activate, combine, gram_layers
 from .errors import (ConfigError, DegenerateGramError, InputError,
                      NumericRangeError)
 from .kernels import _floats, gram_matrix, max_asymmetry
-from .model import (ClipReport, DmnModel, DmnUnit, _unit_for_model,
-                    anchor_id_tuple, forward_batch)
+from .model import (ClipReport, DmnModel, DmnUnit, anchor_id_tuple,
+                    forward_batch)
 
 # exp overflows float64 a little above this argument
 EXP_ARG_LIMIT = 700.0
@@ -125,7 +125,7 @@ def _unit(gram, clip_ratio: float, layer: int, unit: int, last: bool) -> DmnUnit
     except DegenerateGramError as err:
         raise DegenerateGramError(f"layer {layer}, unit {unit}: {err}") from err
     maps = np.zeros((gram.shape[0], 0)) if last else factor.anchor_map()
-    return _unit_for_model(maps, factor.projection(), factor.clip_report)
+    return DmnUnit(maps, factor.projection(), factor.clip_report)
 
 
 def _grams(arch: DknArchitecture, number: int, samples, built: list):

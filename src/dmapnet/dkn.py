@@ -108,6 +108,10 @@ class DknArchitecture:
         for i, layer in enumerate(self.layers):
             if not isinstance(layer, LayerSpec):
                 raise ConfigError("layers must contain LayerSpec values")
+            try:  # again, for a layer changed after it was made
+                layer.__post_init__()
+            except ConfigError as err:
+                raise ConfigError(f"layer {i + 2}: {err}") from err
             if layer.weights.shape[1] != prev:
                 raise ConfigError(
                     f"layer {i + 2}: weights expect {layer.weights.shape[1]} inputs "

@@ -19,8 +19,8 @@ kernel rows, activations and maps: ``forward_batch`` keeps every map of
 the batch, ``score_batch`` only the scores and ``final_maps`` only the
 last unit's maps, and training keeps a block's activations too, for
 backprop.  The ``ClipReport`` each unit stores is defined here beside it;
-building, saving and loading check a model by one rule, so a model that
-saves is a model that loads.
+one rule (``_check_model``) checks a model, its units and its head when
+it is built, saved or loaded, so a model that saves is a model that loads.
 """
 
 from __future__ import annotations
@@ -53,6 +53,14 @@ class ClipReport:
     discarded_max_abs: float
     discarded_abs_sum: float
 
+    def __post_init__(self):
+        # two counts and two numbers, as a model file records them
+        _count(self.retained, "clip_report retained", ConfigError)
+        _count(self.discarded, "clip_report discarded", ConfigError)
+        sums = (self.discarded_max_abs, self.discarded_abs_sum)
+        if not all(isinstance(v, (int, float)) for v in sums):
+            raise ConfigError(f"clip_report sums must be numbers, got {sums!r}")
+
 
 @dataclass
 class DmnUnit:
@@ -65,26 +73,17 @@ class DmnUnit:
     parameter during training.  The last layer's one unit feeds only the
     head and holds ``(anchor_count, 0)`` anchors.  The activation and, for
     input units, the base kernel belong to the unit's layer and are read
-    from the model's architecture.
+    from the model's architecture.  A unit checks nothing itself; the rule
+    of a model that holds it does (``_check_model``).
     """
 
     anchors: np.ndarray
     projection: np.ndarray
     clip_report: ClipReport
 
-    def __post_init__(self):
-        self.anchors = _floats(self.anchors, "anchors", ConfigError)
-        self.projection = _floats(self.projection, "projection", ConfigError)
-        if self.anchors.ndim != 2 or self.projection.ndim != 2:
-            raise ConfigError("anchors and projection must be 2-D")
-        if self.anchors.shape[0] != self.projection.shape[0]:
-            raise ConfigError(
-                "anchors and projection must agree on the anchor count"
-            )
-
     @property
     def width(self) -> int:
-        # np.shape, as the model rule reads a projection replaced by a list
+        # np.shape, so a projection replaced by a list still has a width
         return np.shape(self.projection)[1]
 
 
@@ -124,11 +123,6 @@ class DmnModel:
     anchor_ids: tuple = ()
 
     def __post_init__(self):
-        self.anchor_samples = _floats(self.anchor_samples, "anchor samples",
-                                      ConfigError)
-        if self.anchor_samples.ndim != 2:
-            raise ConfigError("anchor samples must be 2-D")
-        self.anchor_ids = anchor_id_tuple(self.anchor_ids, self.anchor_count)
         _check_model(self)
 
     @property
@@ -140,18 +134,24 @@ class DmnModel:
         return self.layers[-1][0].width
 
 
-def _check_model(model: DmnModel) -> None:
-    """The one rule for a valid model, applied on construction and by
-    ``save_model`` and ``load_model``.  Raises ConfigError, naming the layer
-    and unit, unless the anchor samples, mixing weights and unit matrices
-    are finite and each unit fits the architecture over the anchor samples:
-    one row per anchor sample, anchor maps as wide as the projection below
-    the last layer and none in it, and a clip report that keeps the unit's
-    width of its gram's eigenvalues and drops the rest."""
+def _check_model(model: DmnModel, head: ClassifierHead | None = None) -> None:
+    """The one rule for a valid model and head, applied by ``DmnModel``
+    and ``save_model`` and reached by ``load_model`` through the
+    constructors.  Raises ConfigError unless the anchor samples are finite
+    and 2-D, each part passes its own rule again (the anchor ids, the
+    architecture and its layers, each clip report, a head's and
+    ``check_head_width``), and each unit, named by layer and unit, is finite
+    and fits the architecture: one row per anchor sample, anchor maps as
+    wide as the projection below the last layer and none in it, and a clip
+    report that keeps the unit's width of its gram's eigenvalues and drops
+    the rest.  Each array is kept as the check converted it."""
+    model.anchor_samples = _floats(model.anchor_samples, "anchor samples",
+                                   ConfigError)
+    if model.anchor_samples.ndim != 2:
+        raise ConfigError("anchor samples must be 2-D")
+    model.anchor_ids = anchor_id_tuple(model.anchor_ids, model.anchor_count)
+    model.arch.__post_init__()
     widths, n = model.arch.widths, model.anchor_count
-    _floats(model.anchor_samples, "anchor samples", ConfigError)
-    for number, spec in enumerate(model.arch.layers, start=2):
-        _floats(spec.weights, f"layer {number}: mixing weights", ConfigError)
     if len(model.layers) != len(widths):
         raise ConfigError("unit layers must match the architecture depth")
     for l, units in enumerate(model.layers):
@@ -161,9 +161,9 @@ def _check_model(model: DmnModel) -> None:
             )
         for p, unit in enumerate(units):
             where = f"layer {l + 1}, unit {p + 1}"
-            anchors, projection = (
+            unit.anchors, unit.projection = anchors, projection = [
                 _floats(getattr(unit, name), f"{where}: {name}", ConfigError)
-                for name in ("anchors", "projection"))
+                for name in ("anchors", "projection")]
             if anchors.ndim != 2 or projection.ndim != 2:
                 raise ConfigError(f"{where}: anchors and projection must be 2-D")
             if anchors.shape[0] != n or projection.shape[0] != n:
@@ -178,11 +178,15 @@ def _check_model(model: DmnModel) -> None:
                     f"{where}: anchors have "
                     f"{anchors.shape[1]} columns, expected {expected}"
                 )
+            unit.clip_report.__post_init__()
             kept, drop = unit.clip_report.retained, unit.clip_report.discarded
             if kept != width or kept + drop != n:
                 raise ConfigError(f"{where}: clip report keeps "
                                   f"{kept} of {n} eigenvalues, drops {drop}; "
                                   f"width {width}")
+    if head is not None:
+        head.__post_init__()
+        check_head_width(model, head)
 
 
 def as_per_class_c(c_policy, num_classes: int) -> np.ndarray:
@@ -264,9 +268,10 @@ def walk(model: DmnModel, kernel_rows):
     nothing more: at most one layer's activations, one lower unit's
     product with its anchors and one weighted copy of it, all as many rows
     as ``kernel_rows``, which ``forward_batch``, ``final_maps``,
-    ``score_batch`` and training keep to one row block of ``walk_blocks``.  Overflow is computed silently, but never
-    while the walk is suspended; a non-finite map raises NumericRangeError
-    naming its layer and unit, as does ``activate`` for a non-finite sum.
+    ``score_batch`` and training keep to one row block of ``walk_blocks``.
+    Overflow is computed silently, but never while the walk is suspended;
+    a non-finite map raises NumericRangeError naming its layer and unit,
+    as does ``activate`` for a non-finite sum.
     """
     hs = list(kernel_rows)
     del kernel_rows  # hs alone holds the rows here, each until it is yielded
@@ -390,18 +395,15 @@ def classify(model: DmnModel, head: ClassifierHead, x) -> tuple:
 # --- binary container --------------------------------------------------------
 
 def _clip_report_from_dict(obj) -> ClipReport:
-    return ClipReport(
-        retained=_count(obj["retained"], "clip_report retained"),
-        discarded=_count(obj["discarded"], "clip_report discarded"),
-        discarded_max_abs=float(obj["discarded_max_abs"]),
-        discarded_abs_sum=float(obj["discarded_abs_sum"]),
-    )
+    return ClipReport(obj["retained"], obj["discarded"],
+                      float(obj["discarded_max_abs"]),
+                      float(obj["discarded_abs_sum"]))
 
 
-def _count(value, what: str) -> int:
+def _count(value, what: str, error=FormatError) -> int:
     """A header count: a non-negative JSON integer."""
     if type(value) is not int or value < 0:
-        raise FormatError(f"{what} must be a non-negative integer, got {value!r}")
+        raise error(f"{what} must be a non-negative integer, got {value!r}")
     return value
 
 
@@ -425,12 +427,10 @@ def save_model(model: DmnModel, head: ClassifierHead | None, path) -> None:
     Layout: magic, u32 version, u32 header length, UTF-8 JSON header, then
     every matrix as little-endian float64 in row-major order, and a trailing
     SHA-256 over all preceding bytes.  Raises ConfigError, and writes
-    nothing, when the model breaks the rule every model is built and loaded
-    by (``_check_model``) or the head is not as wide as the final map.
+    nothing, when the model or head breaks the rule models and heads are
+    built and loaded by (``_check_model``).
     """
-    _check_model(model)
-    if head is not None:
-        check_head_width(model, head)
+    _check_model(model, head)
     header = {
         "format": "dmn-model",
         "anchor_count": int(model.anchor_count),
@@ -488,16 +488,6 @@ class _PayloadReader:
             raise FormatError(
                 f"model header gives a matrix shape too large to read: {shape}"
             ) from err
-
-
-def _unit_for_model(anchors, projection, clip_report) -> DmnUnit:
-    """A unit made without ``DmnUnit``'s own check, for building and
-    loading, which hand it to ``DmnModel`` next: the model rule checks all
-    the same and names the layer and unit, so each unit matrix is read for
-    finiteness once."""
-    unit = object.__new__(DmnUnit)
-    unit.anchors, unit.projection, unit.clip_report = anchors, projection, clip_report
-    return unit
 
 
 def load_model(path) -> tuple:
@@ -586,8 +576,8 @@ def load_model(path) -> tuple:
         for l, metas in enumerate(unit_meta):
             last = l == len(unit_meta) - 1
             unit_layers.append([
-                _unit_for_model(reader.take((n, 0 if last else width)),
-                                reader.take((n, width)), clip)
+                DmnUnit(reader.take((n, 0 if last else width)),
+                        reader.take((n, width)), clip)
                 for width, clip in metas])
         model = DmnModel(layers=unit_layers, arch=arch,
                          anchor_samples=anchor_samples, anchor_ids=anchor_ids)

@@ -49,9 +49,10 @@ class TrainConfig:
 
     ``learning_rate`` is the first rate, finite and >= 0; the loop halves
     it whenever a step raises the objective.  ``max_iters`` caps the logged
-    iterations.  ``c_policy`` follows ``as_per_class_c``, or is None to keep
-    the head's current trade-offs.  ``seed`` only matters to callers that
-    randomize initialization; the loop itself draws nothing.
+    iterations; ``convergence_tol`` is finite and >= 0.  ``c_policy``
+    follows ``as_per_class_c``, or is None to keep the head's current
+    trade-offs.  ``seed`` only matters to callers that randomize
+    initialization; the loop itself draws nothing.
     """
 
     learning_rate: float = 1e-6
@@ -68,8 +69,8 @@ class TrainConfig:
             raise ConfigError("max_iters must be an integer >= 1")
         self.max_iters = int(self.max_iters)
         if not (isinstance(self.convergence_tol, numbers.Real)
-                and self.convergence_tol >= 0):
-            raise ConfigError("convergence_tol must be >= 0")
+                and 0 <= self.convergence_tol < np.inf):
+            raise ConfigError("convergence_tol must be finite and >= 0")
 
 
 @dataclass
@@ -171,11 +172,13 @@ def svm_solve(final_maps, labels, c_policy, initial=None) -> np.ndarray:
     K = Y.shape[1]
     C = as_per_class_c(c_policy, K)
     omega = np.zeros((K, F.shape[1]))
-    if initial is not None and np.shape(initial) != omega.shape:
-        raise InputError(f"initial normals must have shape {omega.shape}, "
-                         f"got {np.shape(initial)}")
+    if initial is not None:
+        initial = _floats(initial, "initial normals", InputError)
+        if initial.shape != omega.shape:
+            raise InputError(f"initial normals must have shape {omega.shape}, "
+                             f"got {initial.shape}")
     for k in range(K):
-        w0 = None if initial is None else np.asarray(initial)[k]
+        w0 = None if initial is None else initial[k]
         omega[k] = _solve_class(F, Y[:, k], C[k], w0)
     return omega
 

@@ -144,8 +144,9 @@ def test_train_refuses_an_infinite_trade_off_before_cross_validating(
 
 @pytest.mark.parametrize("option, message", [
     (["--max-iters", "0"], "max_iters must be an integer >= 1"),
-    (["--tol", "nan"], "convergence_tol must be >= 0"),
-    (["--tol", "-1"], "convergence_tol must be >= 0"),
+    (["--tol", "nan"], "convergence_tol must be finite and >= 0"),
+    (["--tol", "-1"], "convergence_tol must be finite and >= 0"),
+    (["--tol", "inf"], "convergence_tol must be finite and >= 0"),
 ])
 def test_train_refuses_its_configuration_before_cross_validating(
         tmp_path, capsys, option, message):
@@ -169,7 +170,7 @@ _SPECIAL_REFUSALS = {
     ("prop1-check", "scale"): _POSITIVE_FINITE,
     ("prop1-check", "tol"): _POSITIVE_FINITE,
     ("train", "eta"): {"nan", "inf", "-inf", "-1"},  # finite and >= 0
-    ("train", "tol"): {"nan", "-inf", "-1"},  # >= 0
+    ("train", "tol"): {"nan", "inf", "-inf", "-1"},  # finite and >= 0
     ("train", "c"): _POSITIVE_FINITE,
     ("train", "cv-grid"): _POSITIVE_FINITE,
     ("build-dmn", "clip-ratio"): {"nan", "inf", "-inf", "-1"},  # finite and >= 0

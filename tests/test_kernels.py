@@ -1,5 +1,6 @@
 """Base kernels: single evaluations, gram matrices and their agreement."""
 
+import copy
 import json
 import tracemalloc
 
@@ -16,7 +17,7 @@ from dmapnet import (AnchorSet, ClassifierHead, ConfigError, DknArchitecture,
                      eval_kernel, evaluate, forward_batch, forward_trace,
                      generate_synthetic, grad_output, gram_matrix,
                      input_kernel_rows, load_architecture, run_bench,
-                     score_batch, svm_solve)
+                     save_model, score_batch, svm_solve)
 from dmapnet.kernels import KERNEL_KINDS, block_rows, max_asymmetry
 
 ALL_SPECS = [
@@ -261,7 +262,7 @@ def test_library_seeds_follow_one_rule(entry, seed, tmp_path):
         call(tmp_path, seed)
 
 
-def _array_entries():
+def _array_entries(tmp_path):
     """``name -> (call, valid)``: each library entry point that takes a
     caller's float array, as a call of that one array, and a value it
     accepts there."""
@@ -273,6 +274,20 @@ def _array_entries():
     out_grads = grad_output(head, trace.final, Y)
     coef, bias = np.ones((2, 3)), np.zeros(2)
     unit = model.layers[0][0]
+
+    def holding(anchors=unit.anchors, projection=unit.projection):
+        # a unit checks nothing until a model holds it
+        layers = [list(units) for units in model.layers]
+        layers[0][0] = DmnUnit(anchors, projection, unit.clip_report)
+        return DmnModel(layers=layers, arch=model.arch,
+                        anchor_samples=model.anchor_samples)
+
+    def saving_head(name, value):
+        # a head changed after it was made, so only save_model checks it
+        changed = copy.copy(head)
+        setattr(changed, name, value)
+        save_model(model, changed, tmp_path / "model.bin")
+
     return {
         "gram_matrix X": (lambda v: gram_matrix(spec, v), X),
         "gram_matrix Y": (lambda v: gram_matrix(spec, X, v), X),
@@ -295,6 +310,8 @@ def _array_entries():
         "evaluate truth": (lambda v: evaluate(scores, v), Y),
         "svm_solve maps": (lambda v: svm_solve(v, Y, 1.0), final),
         "svm_solve labels": (lambda v: svm_solve(final, v, 1.0), Y),
+        "svm_solve initial": (lambda v: svm_solve(final, Y, 1.0, initial=v),
+                              svm_solve(final, Y, 1.0)),
         "dkn_classify support": (
             lambda v: dkn_classify(model.arch, v, coef, bias, X[0]), X[:3]),
         "dkn_classify dual_coef": (
@@ -302,10 +319,13 @@ def _array_entries():
         "dkn_classify bias": (
             lambda v: dkn_classify(model.arch, X[:3], coef, v, X[0]), bias),
         "backprop output_grads": (lambda v: backprop(model, trace, v), out_grads),
-        "DmnUnit anchors": (lambda v: DmnUnit(v, unit.projection, unit.clip_report),
-                            unit.anchors),
-        "DmnUnit projection": (lambda v: DmnUnit(unit.anchors, v, unit.clip_report),
-                               unit.projection),
+        "DmnModel unit anchors": (lambda v: holding(anchors=v), unit.anchors),
+        "DmnModel unit projection": (lambda v: holding(projection=v),
+                                     unit.projection),
+        "save_model head normals": (lambda v: saving_head("normals", v),
+                                    head.normals),
+        "save_model head trade-offs": (lambda v: saving_head("trade_offs", v),
+                                       head.trade_offs),
     }
 
 
@@ -321,13 +341,13 @@ def _bad_arrays(rng, valid):
     return bad
 
 
-def test_library_arrays_survive_seeded_fuzz():
+def test_library_arrays_survive_seeded_fuzz(tmp_path):
     # numpy's conversion raised a raw ValueError or TypeError at most of
     # these entry points; every array now passes through one rule, which
     # raises the entry point's own typed error.  A call may also return:
     # gram_matrix takes Y=None as Y=X.
     rng = np.random.default_rng(37)
-    entries = _array_entries()
+    entries = _array_entries(tmp_path)
     for _ in range(3):
         for call, valid in entries.values():
             for value in _bad_arrays(rng, valid):

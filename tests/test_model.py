@@ -1,5 +1,6 @@
 """Explicit map models: forward passes, classification, binary container."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -193,12 +194,23 @@ def test_two_unit_last_layer_is_refused_at_every_entry_point(tmp_path, capsys):
     assert "exactly one unit" in capsys.readouterr().err
     assert not out.exists()
 
-    # save_model writes the shapes it is given, so a model widened after
-    # construction gives a consistent, checksum-valid two-output file
+    # save_model refuses a model widened after construction
     model, head, _ = helpers.toy_problem(seed=21)
     model.arch.layers[-1] = wide
     model.layers[-1].append(model.layers[-1][0])
-    save_model(model, head, out)
+    with pytest.raises(ConfigError, match="exactly one unit"):
+        save_model(model, head, out)
+    assert not out.exists()
+
+    # a checksum-valid two-output file: the header narrows layer 2 to two
+    # units and widens layer 3 to two, so both layers' weights are read from
+    # the nine nonnegative mixing weights the file holds
+    def widen(header):
+        layers, units = header["arch"]["layers"], header["units"]
+        layers[0]["width"] = layers[1]["width"] = 2
+        units[1].pop()
+        units[2].append(units[2][0])
+    helpers.saved_with_header(out, widen, seed=21)
     with pytest.raises(FormatError, match="exactly one unit"):
         load_model(out)
 
@@ -551,6 +563,137 @@ def test_cross_layer_shapes_are_checked(tmp_path, edit, where):
     with pytest.raises(ConfigError, match=where):
         helpers.saved_with_model_edit(path, edit, seed=30)
     assert not path.exists()
+
+
+def _nan_entry(rng, mat):
+    mat = mat.copy()
+    if mat.size:
+        mat.flat[rng.integers(mat.size)] = np.nan
+    return mat
+
+
+# ways to change one matrix, each with the matrix and an rng
+_MATRIX_CHANGES = {
+    "negated": lambda rng, mat: -mat,
+    "one entry NaN": _nan_entry,
+    "transposed": lambda rng, mat: mat.T,
+    "without last column": lambda rng, mat: mat[:, :-1],
+    "one more row": lambda rng, mat: np.vstack([mat, mat[:1]]),
+    "flattened": lambda rng, mat: mat.ravel(),
+    "as a list": lambda rng, mat: mat.tolist(),
+}
+
+
+def _drawn(rng, items):
+    return items[rng.integers(len(items))]
+
+
+def _matrix_owners(rng, model, head):
+    """``field -> (owner, attribute)`` for each matrix field, one layer or
+    unit drawn by ``rng``."""
+    unit = _drawn(rng, [u for units in model.layers for u in units])
+    return {"layer weights": (_drawn(rng, model.arch.layers), "weights"),
+            "unit anchors": (unit, "anchors"),
+            "unit projection": (unit, "projection"),
+            "anchor samples": (model, "anchor_samples"),
+            "head normals": (head, "normals")}
+
+
+def _set_clip_report(rng, model, changes):
+    """Change fields of a drawn unit's clip report past the report's own
+    rule, each by a function of its value."""
+    unit = _drawn(rng, [u for units in model.layers for u in units])
+    report = copy.copy(unit.clip_report)
+    for name, change in changes.items():
+        object.__setattr__(report, name, change(getattr(report, name)))
+    unit.clip_report = report
+
+
+def _field_edits():
+    """``name -> edit(rng, model, head)``: every way the property test
+    changes one field of a toy model or head."""
+    edits = {}
+    for field in ("layer weights", "unit anchors", "unit projection",
+                  "anchor samples", "head normals"):
+        for how, change in _MATRIX_CHANGES.items():
+            def edit(rng, model, head, field=field, change=change):
+                owner, name = _matrix_owners(rng, model, head)[field]
+                setattr(owner, name, change(rng, getattr(owner, name)))
+            edits[f"{field} {how}"] = edit
+    for activation in ("relu", "exp", None):
+        edits[f"activation {activation}"] = (
+            lambda rng, model, head, a=activation:
+            setattr(_drawn(rng, model.arch.layers), "activation", a))
+    for how, ids in (("duplicated", lambda ids: ids[:1] * len(ids)),
+                     ("too few", lambda ids: ids[:-1]),
+                     ("numpy integers", lambda ids: tuple(np.arange(len(ids)))),
+                     ("as strings", lambda ids: [str(i) for i in ids])):
+        edits[f"anchor ids {how}"] = (
+            lambda rng, model, head, ids=ids:
+            setattr(model, "anchor_ids", ids(model.anchor_ids)))
+    for how, value in (("NaN", np.array([np.nan, 1.0])),
+                       ("negative", np.array([-1.0, 1.0])),
+                       ("three", np.array([1.0, 2.0, 3.0])),
+                       ("as a list", [1.0, 2.0]), ("a scalar", 2.0),
+                       ("a string", "x")):
+        edits[f"trade-offs {how}"] = (
+            lambda rng, model, head, value=value:
+            setattr(head, "trade_offs", value))
+    one_more, one_less = (lambda v: v + 1), (lambda v: v - 1)
+    for how, changes in (("retains one more", {"retained": one_more}),
+                         ("discards one more", {"discarded": one_more}),
+                         ("moves one to discarded", {"retained": one_less,
+                                                     "discarded": one_more}),
+                         ("retained as a float", {"retained": float}),
+                         ("retained as a numpy integer", {"retained": np.int64}),
+                         ("a sum as a string", {"discarded_abs_sum": str})):
+        edits[f"clip report {how}"] = (
+            lambda rng, model, head, changes=changes:
+            _set_clip_report(rng, model, changes))
+    for how, change in (("without a unit", list.pop),
+                        ("with a unit twice",
+                         lambda units: units.append(units[0]))):
+        edits[f"unit list {how}"] = (
+            lambda rng, model, head, change=change:
+            change(_drawn(rng, model.layers)))
+    return edits
+
+
+def test_a_model_that_saves_is_a_model_that_loads(tmp_path):
+    # save_model applies the rule loading reaches through the constructors,
+    # the head's included.  Each edit in must_refuse used to write a file
+    # that load_model refused or, transposed weights, read back as another
+    # model, or to raise a raw TypeError; each in must_save used to raise a
+    # raw AttributeError or TypeError
+    must_refuse = {"layer weights negated", "layer weights transposed",
+                   "activation relu", "anchor ids duplicated",
+                   "anchor ids too few", "trade-offs NaN", "trade-offs negative",
+                   "trade-offs three", "head normals one entry NaN",
+                   "clip report retained as a float",
+                   "clip report retained as a numpy integer"}
+    must_save = {"anchor samples as a list", "head normals as a list",
+                 "trade-offs as a list"}
+    rng = np.random.default_rng(38)
+    path = tmp_path / "model.bin"
+    for name, edit in _field_edits().items():
+        for _ in range(4):
+            model, head, _ = helpers.toy_problem(seed=38)
+            edit(rng, model, head)
+            try:
+                save_model(model, head, path)
+            except ConfigError:
+                assert not path.exists() and name not in must_save, name
+                continue
+            assert name not in must_refuse, name
+            loaded, loaded_head = load_model(path)
+            path.unlink()
+            for saved, read in zip(_model_matrices(model, head),
+                                   _model_matrices(loaded, loaded_head),
+                                   strict=True):
+                assert saved.shape == read.shape and (saved == read).all(), name
+            assert loaded.anchor_ids == model.anchor_ids, name
+            assert ([spec.activation for spec in loaded.arch.layers]
+                    == [spec.activation for spec in model.arch.layers]), name
 
 
 def test_save_refuses_a_head_unlike_the_final_map(tmp_path):

@@ -101,6 +101,12 @@ def test_solver_input_validation():
     for c_policy in ("x", ["x"], {}):
         with pytest.raises(ConfigError, match="trade-offs must be numbers"):
             svm_solve(F, np.array([[1.0], [-1.0]]), c_policy)
+    # a NaN start used to fail as an unconverged solve, strings as numpy's
+    # raw ValueError
+    for initial, message in (([[np.nan, 0.0]], "initial normals must be finite"),
+                             ([["a", "b"]], "initial normals must be numbers")):
+        with pytest.raises(InputError, match=message):
+            svm_solve(F, np.array([[1.0], [-1.0]]), 1.0, initial=initial)
 
 
 def test_as_per_class_c():
